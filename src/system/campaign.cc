@@ -8,6 +8,7 @@
 #include <mutex>
 #include <ostream>
 #include <thread>
+#include <type_traits>
 
 #include "prof/profiler.hh"
 #include "sim/host.hh"
@@ -180,105 +181,6 @@ runCampaign(const CampaignSpec &spec)
 namespace
 {
 
-bool
-sameBits(double a, double b)
-{
-    return std::bit_cast<std::uint64_t>(a) ==
-        std::bit_cast<std::uint64_t>(b);
-}
-
-bool
-sameDup(const DupAnalysis &a, const DupAnalysis &b)
-{
-    return a.mappedPages == b.mappedPages &&
-        a.unmergeable == b.unmergeable &&
-        a.mergeableZero == b.mergeableZero &&
-        a.mergeableNonZero == b.mergeableNonZero &&
-        a.framesUsed == b.framesUsed &&
-        a.framesIfFullyMerged == b.framesIfFullyMerged;
-}
-
-bool
-sameFaults(const FaultSummary &a, const FaultSummary &b)
-{
-    return a.enabled == b.enabled && a.flipEvents == b.flipEvents &&
-        a.singleBitFlips == b.singleBitFlips &&
-        a.doubleBitFlips == b.doubleBitFlips &&
-        a.stuckAtFaults == b.stuckAtFaults &&
-        a.minikeyTargeted == b.minikeyTargeted &&
-        a.tableCorruptions == b.tableCorruptions &&
-        a.raceWrites == b.raceWrites &&
-        a.skippedNoTarget == b.skippedNoTarget &&
-        a.correctedErrors == b.correctedErrors &&
-        a.uncorrectableErrors == b.uncorrectableErrors &&
-        a.poisonedFrames == b.poisonedFrames &&
-        a.quarantinedFrames == b.quarantinedFrames &&
-        a.falseKeyMatches == b.falseKeyMatches &&
-        a.offsetRotations == b.offsetRotations &&
-        a.mergeAborts == b.mergeAborts &&
-        a.mergeRetries == b.mergeRetries &&
-        a.hwHashRaces == b.hwHashRaces &&
-        a.oracleChecks == b.oracleChecks &&
-        a.crossMcChecks == b.crossMcChecks &&
-        a.oracleViolations == b.oracleViolations &&
-        a.mcWedgesInjected == b.mcWedgesInjected &&
-        a.brownouts == b.brownouts &&
-        a.handoffsLost == b.handoffsLost &&
-        a.handoffsCorrupted == b.handoffsCorrupted &&
-        a.handoffsSpiked == b.handoffsSpiked &&
-        a.handoffRetries == b.handoffRetries &&
-        a.handoffDeadLetters == b.handoffDeadLetters &&
-        a.wedgesDetected == b.wedgesDetected &&
-        a.moduleRestarts == b.moduleRestarts &&
-        a.failovers == b.failovers &&
-        a.readmissions == b.readmissions &&
-        a.rehomedPrefixes == b.rehomedPrefixes &&
-        a.healthTransitions == b.healthTransitions;
-}
-
-bool
-samePerMc(const std::vector<McSummary> &a,
-          const std::vector<McSummary> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].scans != b[i].scans || a[i].merges != b[i].merges ||
-            a[i].handoffsIn != b[i].handoffsIn ||
-            a[i].handoffsOut != b[i].handoffsOut ||
-            a[i].tableOccupancy != b[i].tableOccupancy ||
-            a[i].handoffLatCount != b[i].handoffLatCount ||
-            !sameBits(a[i].handoffLatMeanTicks,
-                      b[i].handoffLatMeanTicks) ||
-            !sameBits(a[i].handoffLatMinTicks,
-                      b[i].handoffLatMinTicks) ||
-            !sameBits(a[i].handoffLatMaxTicks,
-                      b[i].handoffLatMaxTicks) ||
-            !sameBits(a[i].handoffLatP50Ticks,
-                      b[i].handoffLatP50Ticks) ||
-            !sameBits(a[i].handoffLatP95Ticks,
-                      b[i].handoffLatP95Ticks) ||
-            a[i].health != b[i].health ||
-            a[i].healthTransitions != b[i].healthTransitions ||
-            a[i].wedges != b[i].wedges ||
-            a[i].quarantines != b[i].quarantines ||
-            a[i].readmissions != b[i].readmissions)
-            return false;
-    }
-    return true;
-}
-
-bool
-sameHashStats(const HashKeyStats &a, const HashKeyStats &b)
-{
-    return a.jhashMatches == b.jhashMatches &&
-        a.jhashMismatches == b.jhashMismatches &&
-        a.jhashFalseMatches == b.jhashFalseMatches &&
-        a.eccMatches == b.eccMatches &&
-        a.eccMismatches == b.eccMismatches &&
-        a.eccFalseMatches == b.eccFalseMatches;
-}
-
 // ---- JSON helpers (minimal, stable field order) ----
 
 void
@@ -326,224 +228,206 @@ jsonDouble(std::ostream &os, double v)
     os << buf;
 }
 
-void
-jsonDup(std::ostream &os, const DupAnalysis &dup)
+/** Schema visitor writing the present fields as JSON object members. */
+struct JsonFields
 {
-    os << "{\"mapped_pages\":" << dup.mappedPages
-       << ",\"unmergeable\":" << dup.unmergeable
-       << ",\"mergeable_zero\":" << dup.mergeableZero
-       << ",\"mergeable_non_zero\":" << dup.mergeableNonZero
-       << ",\"frames_used\":" << dup.framesUsed
-       << ",\"frames_if_fully_merged\":" << dup.framesIfFullyMerged
-       << "}";
-}
+    std::ostream &os;
+    bool first = true; //!< nothing written yet in the current object
 
-void
-jsonResult(std::ostream &os, const ExperimentResult &r)
+    /** When set, write only these top-level leaves (by address). */
+    std::vector<const void *> only = {};
+
+    template <class T>
+    void
+    field(const char *key, const char *, const T &value,
+          FieldClass = FieldClass::Exact)
+    {
+        if (!key || (only.size() && std::find(only.begin(), only.end(),
+                                              &value) == only.end()))
+            return;
+        name(key);
+        if constexpr (std::is_same_v<T, double>)
+            jsonDouble(os, value);
+        else if constexpr (std::is_same_v<T, std::string>)
+            jsonString(os, value);
+        else if constexpr (std::is_same_v<T, MetricsSeries>)
+            value.writeJson(os);
+        else if constexpr (std::is_arithmetic_v<T>)
+            os << value;
+    }
+
+    template <class F>
+    void
+    section(const char *key, bool present, F &&body)
+    {
+        if (!present || only.size())
+            return;
+        if (!key)
+            return body();
+        name(key);
+        object(body);
+    }
+
+    template <class T>
+    void
+    list(const char *key, const char *, const std::vector<T> &items,
+         FieldClass = FieldClass::Exact)
+    {
+        if (only.size())
+            return;
+        name(key);
+        os << '[';
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            os << (i ? "," : "");
+            if constexpr (std::is_arithmetic_v<T>)
+                os << items[i];
+            else
+                object([&] { describe(items[i], *this); });
+        }
+        os << ']';
+    }
+
+    template <class F>
+    void
+    object(F &&body)
+    {
+        os << '{';
+        first = true;
+        body();
+        os << '}';
+        first = false;
+    }
+
+    void
+    name(const char *key)
+    {
+        os << (first ? "\"" : ",\"") << key << "\":";
+        first = false;
+    }
+};
+
+/** Schema visitor flattening a result into ResultField leaves. */
+struct Flattener
 {
-    os << "{\"mean_sojourn_ms\":";
-    jsonDouble(os, r.meanSojournMs);
-    os << ",\"p95_sojourn_ms\":";
-    jsonDouble(os, r.p95SojournMs);
-    os << ",\"queries\":" << r.queries;
-    os << ",\"dup\":";
-    jsonDup(os, r.dup);
-    os << ",\"dup_before\":";
-    jsonDup(os, r.dupBefore);
-    os << ",\"dup_warm\":";
-    jsonDup(os, r.dupWarm);
-    os << ",\"l3_miss_rate\":";
-    jsonDouble(os, r.l3MissRate);
-    os << ",\"l3_app_miss_rate\":";
-    jsonDouble(os, r.l3AppMissRate);
-    os << ",\"ksm_cycle_frac_avg\":";
-    jsonDouble(os, r.ksmCycleFracAvg);
-    os << ",\"ksm_cycle_frac_max\":";
-    jsonDouble(os, r.ksmCycleFracMax);
-    os << ",\"ksm_compare_frac\":";
-    jsonDouble(os, r.ksmCompareFrac);
-    os << ",\"ksm_hash_frac\":";
-    jsonDouble(os, r.ksmHashFrac);
-    os << ",\"hash\":{\"jhash_matches\":" << r.hashStats.jhashMatches
-       << ",\"jhash_mismatches\":" << r.hashStats.jhashMismatches
-       << ",\"jhash_false_matches\":" << r.hashStats.jhashFalseMatches
-       << ",\"ecc_matches\":" << r.hashStats.eccMatches
-       << ",\"ecc_mismatches\":" << r.hashStats.eccMismatches
-       << ",\"ecc_false_matches\":" << r.hashStats.eccFalseMatches
-       << "}";
-    os << ",\"baseline_phase_bw_gbps\":";
-    jsonDouble(os, r.baselinePhaseBwGBps);
-    os << ",\"dedup_phase_bw_gbps\":";
-    jsonDouble(os, r.dedupPhaseBwGBps);
-    os << ",\"pf_batch_cycles_avg\":";
-    jsonDouble(os, r.pfBatchCyclesAvg);
-    os << ",\"pf_batch_cycles_stddev\":";
-    jsonDouble(os, r.pfBatchCyclesStddev);
-    os << ",\"pf_refills\":" << r.pfRefills;
-    os << ",\"pf_os_checks\":" << r.pfOsChecks;
-    os << ",\"pf_pages_scanned\":" << r.pfPagesScanned;
-    os << ",\"merges\":" << r.merges;
-    os << ",\"cow_breaks\":" << r.cowBreaks;
-    os << ",\"sim_events\":" << r.simEvents;
-    os << ",\"pages_scanned\":" << r.pagesScanned;
-    os << ",\"host_seconds\":";
-    jsonDouble(os, r.hostSeconds);
-    // Only present when the cell ran with fault injection, so
-    // fault-free campaign JSON stays byte-identical.
-    if (r.faults.enabled) {
-        const FaultSummary &f = r.faults;
-        os << ",\"faults\":{\"flip_events\":" << f.flipEvents
-           << ",\"single_bit_flips\":" << f.singleBitFlips
-           << ",\"double_bit_flips\":" << f.doubleBitFlips
-           << ",\"stuck_at_faults\":" << f.stuckAtFaults
-           << ",\"minikey_targeted\":" << f.minikeyTargeted
-           << ",\"table_corruptions\":" << f.tableCorruptions
-           << ",\"race_writes\":" << f.raceWrites
-           << ",\"skipped_no_target\":" << f.skippedNoTarget
-           << ",\"corrected_errors\":" << f.correctedErrors
-           << ",\"uncorrectable_errors\":" << f.uncorrectableErrors
-           << ",\"poisoned_frames\":" << f.poisonedFrames
-           << ",\"quarantined_frames\":" << f.quarantinedFrames
-           << ",\"false_key_matches\":" << f.falseKeyMatches
-           << ",\"offset_rotations\":" << f.offsetRotations
-           << ",\"merge_aborts\":" << f.mergeAborts
-           << ",\"merge_retries\":" << f.mergeRetries
-           << ",\"hw_hash_races\":" << f.hwHashRaces
-           << ",\"oracle_checks\":" << f.oracleChecks
-           << ",\"cross_mc_checks\":" << f.crossMcChecks
-           << ",\"oracle_violations\":" << f.oracleViolations
-           << ",\"mc_wedges_injected\":" << f.mcWedgesInjected
-           << ",\"brownouts\":" << f.brownouts
-           << ",\"handoffs_lost\":" << f.handoffsLost
-           << ",\"handoffs_corrupted\":" << f.handoffsCorrupted
-           << ",\"handoffs_spiked\":" << f.handoffsSpiked
-           << ",\"handoff_retries\":" << f.handoffRetries
-           << ",\"handoff_dead_letters\":" << f.handoffDeadLetters
-           << ",\"wedges_detected\":" << f.wedgesDetected
-           << ",\"module_restarts\":" << f.moduleRestarts
-           << ",\"failovers\":" << f.failovers
-           << ",\"readmissions\":" << f.readmissions
-           << ",\"rehomed_prefixes\":" << f.rehomedPrefixes
-           << ",\"health_transitions\":" << f.healthTransitions
-           << "}";
+    std::vector<ResultField> &out;
+    bool all;           //!< also sections that are not present
+    std::string prefix; //!< path of the enclosing group, with its dot
+
+    template <class T>
+    void
+    field(const char *key, const char *unit, const T &value,
+          FieldClass cls = FieldClass::Exact)
+    {
+        ResultField &leaf = out.emplace_back();
+        leaf.path = key ? prefix + key : "";
+        leaf.unit = unit;
+        leaf.cls = cls;
+        if constexpr (std::is_same_v<T, double> ||
+                      std::is_same_v<T, std::string>)
+            leaf.value = value;
+        else if constexpr (std::is_same_v<T, MetricsSeries>)
+            leaf.value = std::to_string(value.ticks.size()) + " samples";
+        else
+            leaf.value = static_cast<std::uint64_t>(value);
     }
-    // Only present on a multi-MC machine, so single-controller
-    // campaign JSON stays byte-identical to earlier versions.
-    if (r.numMcs > 1) {
-        os << ",\"num_mcs\":" << r.numMcs;
-        os << ",\"mcs\":[";
-        for (std::size_t m = 0; m < r.perMc.size(); ++m) {
-            const McSummary &mc = r.perMc[m];
-            if (m)
-                os << ",";
-            os << "{\"scans\":" << mc.scans
-               << ",\"merges\":" << mc.merges
-               << ",\"handoffs_in\":" << mc.handoffsIn
-               << ",\"handoffs_out\":" << mc.handoffsOut
-               << ",\"table_occupancy\":" << mc.tableOccupancy;
-            // Health machinery exists only under an MC-scale fault
-            // campaign, so fault-free (and classic-fault) multi-MC
-            // JSON stays byte-identical to earlier builds.
-            if (!mc.health.empty()) {
-                os << ",\"health\":";
-                jsonString(os, mc.health);
-                os << ",\"health_transitions\":"
-                   << mc.healthTransitions
-                   << ",\"wedges\":" << mc.wedges
-                   << ",\"quarantines\":" << mc.quarantines
-                   << ",\"readmissions\":" << mc.readmissions;
-            }
-            // The latency distribution is simulated (deterministic)
-            // data, but it only reaches the JSON on profiling runs so
-            // profiling-off campaign output stays byte-identical to
-            // earlier builds.
-            if (prof::enabled()) {
-                os << ",\"handoff_latency\":{\"count\":"
-                   << mc.handoffLatCount;
-                os << ",\"mean_ticks\":";
-                jsonDouble(os, mc.handoffLatMeanTicks);
-                os << ",\"min_ticks\":";
-                jsonDouble(os, mc.handoffLatMinTicks);
-                os << ",\"max_ticks\":";
-                jsonDouble(os, mc.handoffLatMaxTicks);
-                os << ",\"p50_ticks\":";
-                jsonDouble(os, mc.handoffLatP50Ticks);
-                os << ",\"p95_ticks\":";
-                jsonDouble(os, mc.handoffLatP95Ticks);
-                os << "}";
-            }
-            os << "}";
+
+    template <class F>
+    void
+    section(const char *key, bool present, F &&body)
+    {
+        if (present || all)
+            nested(key ? prefix + key + "." : prefix, body);
+    }
+
+    template <class T>
+    void
+    list(const char *key, const char *unit, const std::vector<T> &items,
+         FieldClass cls = FieldClass::Exact)
+    {
+        field(nullptr, "", items.size(), cls);
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            std::string at = std::string(key) + '[' + std::to_string(i) + ']';
+            if constexpr (std::is_arithmetic_v<T>)
+                field(at.c_str(), unit, items[i], cls);
+            else
+                nested(prefix + at + ".",
+                       [&] { describe(items[i], *this); });
         }
-        os << "]";
     }
-    // Lane-executor host telemetry; only present on profiling runs
-    // (host wall-clock, excluded from identicalResults like
-    // hostSeconds).
-    if (r.exec.enabled) {
-        const ExecSummary &e = r.exec;
-        os << ",\"exec\":{\"quanta\":" << e.quanta
-           << ",\"phase1_ns\":" << e.phase1Ns
-           << ",\"drain_ns\":" << e.drainNs
-           << ",\"phase2_ns\":" << e.phase2Ns
-           << ",\"mailbox_hwm\":" << e.mailboxHwm;
-        os << ",\"phase2_efficiency\":";
-        jsonDouble(os, e.phase2Efficiency);
-        os << ",\"lanes\":[";
-        for (std::size_t l = 0; l < e.lanes.size(); ++l) {
-            const LaneExecStats &lane = e.lanes[l];
-            if (l)
-                os << ",";
-            os << "{\"busy_ns\":" << lane.busyNs
-               << ",\"idle_ns\":" << lane.idleNs
-               << ",\"stall_ns\":" << lane.stallNs << "}";
-        }
-        os << "],\"worker_busy_ns\":[";
-        for (std::size_t w = 0; w < e.workerBusyNs.size(); ++w)
-            os << (w ? "," : "") << e.workerBusyNs[w];
-        os << "]}";
+
+    template <class F>
+    void
+    nested(std::string path, F &&body)
+    {
+        std::swap(prefix, path);
+        body();
+        std::swap(prefix, path);
     }
-    // Only present when the cell sampled metrics, so default-config
-    // campaign JSON stays byte-identical to earlier versions.
-    if (!r.metrics.empty()) {
-        os << ",\"metrics\":";
-        r.metrics.writeJson(os);
-    }
-    os << "}";
+};
+
+/** The members every cell record of a report starts with. */
+void
+writeCellHead(std::ostream &os, const CellOutcome &outcome)
+{
+    os << "{\"app\":";
+    jsonString(os, outcome.cell.app);
+    os << ",\"mode\":";
+    jsonString(os, dedupModeName(outcome.cell.mode));
+    os << ",\"seed\":" << outcome.cell.seed;
+    os << ",\"ok\":" << (outcome.ok ? "true" : "false");
 }
 
 } // namespace
 
 bool
+ResultField::sameValue(const ResultField &other) const
+{
+    const double *x = std::get_if<double>(&value);
+    const double *y = std::get_if<double>(&other.value);
+    if (x && y)
+        return std::bit_cast<std::uint64_t>(*x) ==
+            std::bit_cast<std::uint64_t>(*y);
+    return value == other.value;
+}
+
+std::string
+ResultField::text() const
+{
+    if (const double *d = std::get_if<double>(&value)) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.6g", *d);
+        return buf;
+    }
+    if (const std::uint64_t *n = std::get_if<std::uint64_t>(&value))
+        return std::to_string(*n);
+    return std::get<std::string>(value);
+}
+
+std::vector<ResultField>
+resultFields(const ExperimentResult &r, bool all)
+{
+    std::vector<ResultField> fields;
+    Flattener flat{fields, all, ""};
+    describe(r, flat);
+    return fields;
+}
+
+bool
 identicalResults(const ExperimentResult &a, const ExperimentResult &b)
 {
-    return a.app == b.app && a.mode == b.mode &&
-        sameBits(a.meanSojournMs, b.meanSojournMs) &&
-        sameBits(a.p95SojournMs, b.p95SojournMs) &&
-        a.queries == b.queries && sameDup(a.dup, b.dup) &&
-        sameDup(a.dupBefore, b.dupBefore) &&
-        sameDup(a.dupWarm, b.dupWarm) &&
-        sameBits(a.l3MissRate, b.l3MissRate) &&
-        sameBits(a.l3AppMissRate, b.l3AppMissRate) &&
-        sameBits(a.ksmCycleFracAvg, b.ksmCycleFracAvg) &&
-        sameBits(a.ksmCycleFracMax, b.ksmCycleFracMax) &&
-        sameBits(a.ksmCompareFrac, b.ksmCompareFrac) &&
-        sameBits(a.ksmHashFrac, b.ksmHashFrac) &&
-        sameHashStats(a.hashStats, b.hashStats) &&
-        sameBits(a.baselinePhaseBwGBps, b.baselinePhaseBwGBps) &&
-        sameBits(a.dedupPhaseBwGBps, b.dedupPhaseBwGBps) &&
-        sameBits(a.pfBatchCyclesAvg, b.pfBatchCyclesAvg) &&
-        sameBits(a.pfBatchCyclesStddev, b.pfBatchCyclesStddev) &&
-        a.pfRefills == b.pfRefills && a.pfOsChecks == b.pfOsChecks &&
-        a.pfPagesScanned == b.pfPagesScanned && a.merges == b.merges &&
-        a.cowBreaks == b.cowBreaks && a.simEvents == b.simEvents &&
-        a.pagesScanned == b.pagesScanned &&
-        sameFaults(a.faults, b.faults) && a.numMcs == b.numMcs &&
-        samePerMc(a.perMc, b.perMc);
-    // hostSeconds is host wall-clock, never part of result identity.
-    // The metrics series is also excluded: it is observability output
-    // whose presence depends on the sampling interval, and the
-    // metrics-on/off identity contract is exactly "everything else
-    // matches" (MetricsDoNotPerturbResults).
+    auto compared = [](const ExperimentResult &r) {
+        std::vector<ResultField> fields = resultFields(r, true);
+        std::erase_if(fields, [](const ResultField &f) {
+            return !comparedClass(f.cls);
+        });
+        return fields;
+    };
+    std::vector<ResultField> fa = compared(a);
+    std::vector<ResultField> fb = compared(b);
+    return std::equal(fa.begin(), fa.end(), fb.begin(), fb.end(),
+                      [](const ResultField &x, const ResultField &y) {
+                          return x.sameValue(y);
+                      });
 }
 
 void
@@ -559,15 +443,11 @@ writeCampaignJson(const CampaignReport &report, std::ostream &os)
         const CellOutcome &outcome = report.cells[i];
         if (i)
             os << ",";
-        os << "{\"app\":";
-        jsonString(os, outcome.cell.app);
-        os << ",\"mode\":";
-        jsonString(os, dedupModeName(outcome.cell.mode));
-        os << ",\"seed\":" << outcome.cell.seed;
-        os << ",\"ok\":" << (outcome.ok ? "true" : "false");
+        writeCellHead(os, outcome);
         if (outcome.ok) {
             os << ",\"result\":";
-            jsonResult(os, outcome.result);
+            JsonFields json{os};
+            json.object([&] { describe(outcome.result, json); });
         } else {
             os << ",\"error\":";
             jsonString(os, outcome.error);
@@ -638,18 +518,13 @@ writePerfReport(const CampaignReport &report, std::ostream &os,
         const CellOutcome &outcome = report.cells[i];
         if (i)
             os << ",";
-        os << "{\"app\":";
-        jsonString(os, outcome.cell.app);
-        os << ",\"mode\":";
-        jsonString(os, dedupModeName(outcome.cell.mode));
-        os << ",\"seed\":" << outcome.cell.seed;
-        os << ",\"ok\":" << (outcome.ok ? "true" : "false");
+        writeCellHead(os, outcome);
         if (outcome.ok) {
             const ExperimentResult &r = outcome.result;
             os << ",\"host_ms\":";
             jsonDouble(os, r.hostSeconds * 1e3);
-            os << ",\"sim_events\":" << r.simEvents;
-            os << ",\"pages_scanned\":" << r.pagesScanned;
+            JsonFields json{os, false, {&r.simEvents, &r.pagesScanned}};
+            describe(r, json);
             if (r.hostSeconds > 0.0) {
                 os << ",\"events_per_sec\":";
                 jsonDouble(os, static_cast<double>(r.simEvents) /

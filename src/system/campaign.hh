@@ -23,9 +23,10 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <variant>
 #include <vector>
 
-#include "system/experiment.hh"
+#include "system/result_schema.hh"
 
 namespace pageforge
 {
@@ -54,12 +55,7 @@ struct CellOutcome
     std::string failComponent;
     std::uint64_t failTick = 0;
 
-    /**
-     * Process-wide peak RSS (KB) sampled right after the cell
-     * finished. Host-side accounting only — like hostSeconds it is a
-     * property of this run of the simulator, not of the simulation,
-     * and never enters identicalResults().
-     */
+    /** Process-wide peak RSS (KB) right after the cell finished. */
     std::uint64_t peakRssKb = 0;
 };
 
@@ -144,17 +140,39 @@ struct CampaignReport
 CampaignReport runCampaign(const CampaignSpec &spec);
 
 /**
- * Serialize a report as JSON — one object per cell with every
- * ExperimentResult field, in stable order — for BENCH_*.json-style
- * trajectory tooling.
+ * Serialize a report as JSON — one object per cell with every present
+ * field of the result schema (result_schema.hh), in schema order — for
+ * BENCH_*.json-style trajectory tooling and tools/check_campaign.py.
  */
 void writeCampaignJson(const CampaignReport &report, std::ostream &os);
 
+/** One leaf of a result, flattened in schema order. */
+struct ResultField
+{
+    std::string path; //!< e.g. "mcs[2].scans"; empty if keyless
+    const char *unit = "";
+    FieldClass cls = FieldClass::Exact;
+    std::variant<std::uint64_t, double, std::string> value;
+
+    /** Same value, doubles compared bit-wise. */
+    bool sameValue(const ResultField &other) const;
+
+    /** The value as table text. */
+    std::string text() const;
+};
+
 /**
- * Field-exact equality of two results (doubles compared bit-wise):
- * the determinism contract parallel execution must preserve. Host
- * wall-clock fields (hostSeconds) are deliberately excluded — they
- * differ between any two runs.
+ * Flatten @p r in schema order: the fields its JSON would carry, or
+ * with @p all every field, present or not.
+ */
+std::vector<ResultField> resultFields(const ExperimentResult &r,
+                                      bool all = false);
+
+/**
+ * Field-exact equality of two results over every field of a compared
+ * class (doubles compared bit-wise), present or not: the determinism
+ * contract parallel execution must preserve. Host-timing fields and
+ * the sampled metrics series are excluded.
  */
 bool identicalResults(const ExperimentResult &a,
                       const ExperimentResult &b);

@@ -52,15 +52,10 @@ ExperimentConfig::validate(const AppProfile &app) const
         throw ConfigError(fault_problem);
 }
 
-ExperimentResult
-runExperiment(const AppProfile &app, DedupMode mode,
-              const ExperimentConfig &cfg,
+SystemConfig
+machineConfig(DedupMode mode, const ExperimentConfig &cfg,
               const SystemConfig &sys_template)
 {
-    cfg.validate(app);
-
-    auto host_start = std::chrono::steady_clock::now();
-
     SystemConfig sys_cfg = sys_template;
     sys_cfg.mode = mode;
     sys_cfg.memScale = cfg.memScale;
@@ -89,8 +84,26 @@ runExperiment(const AppProfile &app, DedupMode mode,
         sys_cfg.l3.sizeBytes = scaled(defaults.l3.sizeBytes,
                                       cfg.memScale / 2.0, 1024 * 1024);
     }
+    return sys_cfg;
+}
 
-    System system(sys_cfg, app);
+ExperimentResult
+runExperiment(const AppProfile &app, DedupMode mode,
+              const ExperimentConfig &cfg,
+              const SystemConfig &sys_template)
+{
+    cfg.validate(app);
+    System system(machineConfig(mode, cfg, sys_template), app);
+    return measure(system, cfg);
+}
+
+ExperimentResult
+measure(System &system, const ExperimentConfig &cfg)
+{
+    auto host_start = std::chrono::steady_clock::now();
+    const SystemConfig &sys_cfg = system.config();
+    DedupMode mode = sys_cfg.mode;
+
     system.deploy();
     DupAnalysis dup_before = system.hypervisor().analyzeDuplication();
 
@@ -112,7 +125,7 @@ runExperiment(const AppProfile &app, DedupMode mode,
 
     // ---- collect ----
     ExperimentResult result;
-    result.app = app.name;
+    result.app = system.profile().name;
     result.mode = mode;
 
     if (system.lifecycle()) {

@@ -178,8 +178,7 @@ struct McSummary
     std::uint64_t tableOccupancy = 0; //!< valid Scan Table entries at end
 
     // Handoff-latency distribution (enqueue to delivery, simulated
-    // ticks) of candidates accepted by this MC. Deterministic, so the
-    // identity checks compare it like every other simulated quantity.
+    // ticks) of candidates accepted by this MC.
     std::uint64_t handoffLatCount = 0;
     double handoffLatMeanTicks = 0.0;
     double handoffLatMinTicks = 0.0;
@@ -198,8 +197,7 @@ struct McSummary
 
 /**
  * Host-time telemetry of the lane-scheduler executor, captured only
- * when profiling was enabled for the run. Host wall-clock, like
- * hostSeconds: excluded from identicalResults().
+ * when profiling was enabled for the run.
  */
 struct ExecSummary
 {
@@ -266,12 +264,9 @@ struct ExperimentResult
     std::uint64_t cowBreaks = 0;
 
     // Simulation-speed accounting (BENCH_simspeed / --perf-report).
-    // simEvents and pagesScanned are simulated quantities (stable for
-    // a given seed); hostSeconds is host wall-clock and must never
-    // enter any result-identity comparison.
     std::uint64_t simEvents = 0;    //!< events dispatched over the run
     std::uint64_t pagesScanned = 0; //!< daemon pages scanned (mode-dependent)
-    double hostSeconds = 0.0;       //!< host wall-clock of the whole run
+    double hostSeconds = 0.0;       //!< host wall-clock of measure()
 
     // Churn runs: memory state across the window + lifecycle activity.
     std::vector<PhaseSnapshot> phases;
@@ -288,16 +283,23 @@ struct ExperimentResult
     // Lane-executor host telemetry (profiling runs only).
     ExecSummary exec;
 
-    /**
-     * Sampled metric trajectory (empty unless metricsInterval was
-     * set). Excluded from identicalResults(): the same cell with and
-     * without sampling must agree on everything else.
-     */
+    /** Sampled metric trajectory (empty unless metricsInterval set). */
     MetricsSeries metrics;
 };
 
+/** @p sys_template set up for @p cfg, L2/L3 scaled with the image. */
+SystemConfig machineConfig(DedupMode mode, const ExperimentConfig &cfg,
+                           const SystemConfig &sys_template = {});
+
 /**
- * Run one full experiment.
+ * Deploy, warm up, load and measure a freshly built @p system (which
+ * stays live for stats dumps), timing the call in hostSeconds.
+ */
+ExperimentResult measure(System &system, const ExperimentConfig &cfg);
+
+/**
+ * Run one full experiment: measure() on a System built from
+ * machineConfig().
  *
  * @param app application profile (one VM per core, all identical)
  * @param mode Baseline / KSM / PageForge

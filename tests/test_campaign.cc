@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "system/campaign.hh"
 
@@ -262,36 +265,174 @@ TEST(CampaignJsonTest, ReportSerializesEveryCellAndEscapesErrors)
     EXPECT_EQ(json.find('\n'), json.size() - 1);
 }
 
+/** fakeResult() with every optional group of the schema populated. */
+ExperimentResult
+fullResult()
+{
+    ExperimentResult r = fakeResult({"app", DedupMode::Ksm, 3});
+    r.lifecycle.enabled = true;
+    r.phases = {PhaseSnapshot{10, 100, 200, 12},
+                PhaseSnapshot{20, 110, 210, 13}};
+    r.faults.enabled = true;
+    r.numMcs = 2;
+    r.perMc.resize(2);
+    for (McSummary &mc : r.perMc)
+        mc.health = "healthy";
+    r.exec.enabled = true;
+    r.exec.lanes.resize(2);
+    r.exec.workerBusyNs = {5, 6};
+    r.metrics.names = {"m"};
+    r.metrics.ticks = {1};
+    r.metrics.rows = {{0.5}};
+    return r;
+}
+
+/**
+ * Schema visitor changing the n-th leaf of a result (in resultFields()
+ * order, every section visited, list lengths counted as leaves).
+ */
+struct PerturbNth
+{
+    std::size_t target;
+    std::size_t seen = 0;
+    bool done = false;
+    FieldClass cls = FieldClass::Exact;
+
+    template <class T>
+    void
+    field(const char *, const char *, T &value,
+          FieldClass c = FieldClass::Exact)
+    {
+        if (seen++ != target)
+            return;
+        done = true;
+        cls = c;
+        if constexpr (std::is_same_v<T, bool>)
+            value = !value;
+        else if constexpr (std::is_same_v<T, std::string>)
+            value += "x";
+        else if constexpr (std::is_same_v<T, DedupMode>)
+            value = DedupMode::PageForge;
+        else if constexpr (std::is_same_v<T, MetricsSeries>)
+            value.ticks.push_back(2);
+        else if constexpr (std::is_floating_point_v<T>)
+            value = std::nextafter(value, INFINITY); // one ulp: bit-exact
+        else
+            value += 1;
+    }
+
+    template <class F>
+    void
+    section(const char *, bool, F &&body)
+    {
+        body();
+    }
+
+    template <class T>
+    void
+    list(const char *key, const char *unit, std::vector<T> &items,
+         FieldClass c = FieldClass::Exact)
+    {
+        if (seen++ == target) {
+            done = true;
+            cls = c;
+            items.emplace_back();
+            return;
+        }
+        for (T &item : items) {
+            if constexpr (std::is_arithmetic_v<T>)
+                field(key, unit, item, c);
+            else
+                describe(item, *this);
+        }
+    }
+};
+
+/** The class each emitted field must be declared with. */
+FieldClass
+expectedClass(const std::string &path)
+{
+    if (path == "host_seconds" || path.starts_with("exec.") ||
+        path == "metrics")
+        return FieldClass::Host;
+    if (path.find(".handoff_latency.") != std::string::npos)
+        return FieldClass::Profiled;
+    return FieldClass::Exact;
+}
+
 TEST(CampaignIdenticalTest, DetectsAnyFieldDifference)
 {
-    ExperimentResult a = fakeResult({"app", DedupMode::Ksm, 3});
+    // Change each leaf of the schema in turn: identity must notice
+    // exactly the compared classes, and host timing must never break
+    // the determinism contract.
+    const ExperimentResult a = fullResult();
+    EXPECT_TRUE(identicalResults(a, a));
+    std::vector<ResultField> fields = resultFields(a, true);
+    ASSERT_GT(fields.size(), 100u);
+    for (std::size_t n = 0; n < fields.size(); ++n) {
+        const ResultField &f = fields[n];
+        SCOPED_TRACE("leaf " + std::to_string(n) + " '" + f.path + "'");
+        if (!f.path.empty()) {
+            EXPECT_EQ(f.cls, expectedClass(f.path));
+        }
+        ExperimentResult b = a;
+        PerturbNth perturb{n};
+        describe(b, perturb);
+        ASSERT_TRUE(perturb.done);
+        EXPECT_EQ(perturb.cls, f.cls);
+        EXPECT_EQ(identicalResults(a, b), !comparedClass(f.cls));
+    }
+    // The visitor and the flattener agree on the leaf count.
     ExperimentResult b = a;
-    EXPECT_TRUE(identicalResults(a, b));
+    PerturbNth past_end{fields.size()};
+    describe(b, past_end);
+    EXPECT_FALSE(past_end.done);
+}
 
-    b.meanSojournMs = a.meanSojournMs + 1e-12;
+TEST(CampaignIdenticalTest, ComparesLifecycleAndPhases)
+{
+    ExperimentResult a = fakeResult({"app", DedupMode::PageForge, 3});
+    a.lifecycle.enabled = true;
+    a.lifecycle.clones = 4;
+    a.phases = {PhaseSnapshot{10, 100, 200, 12},
+                PhaseSnapshot{20, 110, 210, 13}};
+
+    ExperimentResult b = a;
+    b.lifecycle.clones += 1;
     EXPECT_FALSE(identicalResults(a, b));
 
     b = a;
-    b.hashStats.eccMatches += 1;
+    b.phases[1].framesUsed += 1;
     EXPECT_FALSE(identicalResults(a, b));
+}
 
-    b = a;
-    b.dupWarm.framesUsed += 1;
-    EXPECT_FALSE(identicalResults(a, b));
-
-    b = a;
-    b.simEvents += 1;
-    EXPECT_FALSE(identicalResults(a, b));
-
-    b = a;
-    b.pagesScanned += 1;
-    EXPECT_FALSE(identicalResults(a, b));
-
-    // Host wall-clock differs between any two runs; it must never
-    // break the determinism contract.
-    b = a;
-    b.hostSeconds = a.hostSeconds + 1.0;
-    EXPECT_TRUE(identicalResults(a, b));
+TEST(CampaignJsonTest, LifecycleKeysOnlyOnChurnCells)
+{
+    auto json_of = [](bool churn) {
+        CampaignSpec spec;
+        spec.apps = {"app"};
+        spec.modes = {DedupMode::PageForge};
+        spec.jobs = 1;
+        spec.runner = [churn](const CampaignCell &cell) {
+            ExperimentResult r = fakeResult(cell);
+            r.lifecycle.enabled = churn;
+            r.lifecycle.clones = 7;
+            r.phases = {PhaseSnapshot{10, 100, 200, 12}};
+            return r;
+        };
+        std::ostringstream os;
+        writeCampaignJson(runCampaign(spec), os);
+        return os.str();
+    };
+    std::string churn = json_of(true);
+    EXPECT_NE(churn.find("\"host_seconds\":0,\"lifecycle\":{\"clones\":7,"),
+              std::string::npos);
+    EXPECT_NE(churn.find("\"phases\":[{\"tick\":10,\"frames_used\":100,"
+                         "\"mapped_pages\":200,\"live_vms\":12}]"),
+              std::string::npos);
+    std::string still = json_of(false);
+    EXPECT_EQ(still.find("lifecycle"), std::string::npos);
+    EXPECT_EQ(still.find("phases"), std::string::npos);
 }
 
 TEST(CampaignPerfReportTest, PerfReportHasRatesAndSpeedup)

@@ -3,9 +3,11 @@
  * pfsim: command-line driver for single simulations and parallel
  * experiment campaigns.
  *
- * Single mode runs one (application, configuration) experiment and
- * prints the result plus, optionally, the full hierarchical
- * statistics dump of the machine — the way gem5 prints stats.txt:
+ * Single mode runs one (application, configuration) experiment through
+ * the same measure() step as campaign cells, with the window pinned to
+ * --window-ms, and prints every field of the result plus, optionally,
+ * the full hierarchical statistics dump of the machine — the way gem5
+ * prints stats.txt:
  *
  *   pfsim --app=silo --mode=pageforge --scale=0.2 --window-ms=200
  *         [--seed=42] [--dump-stats] [--placement=sticky|rr|random|pinned]
@@ -15,8 +17,13 @@
  *
  *   pfsim --campaign [--jobs=8] [--seeds=3] [--json=FILE]
  *         [--apps=silo,moses] [--modes=baseline,ksm] [--queries=1500]
+ *
+ * Both modes write the same campaign JSON (one cell in single mode);
+ * tools/check_campaign.py asserts on it.
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -24,17 +31,14 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "fault/fault_injector.hh"
-#include "fault/merge_oracle.hh"
 #include "prof/profiler.hh"
-#include "shard/cross_mc_router.hh"
-#include "shard/shard_map.hh"
+#include "sim/host.hh"
 #include "sim/simd.hh"
 #include "stats/table.hh"
 #include "system/campaign.hh"
-#include "system/system.hh"
 #include "trace/trace_sink.hh"
 
 using namespace pageforge;
@@ -46,17 +50,12 @@ struct Options
 {
     std::string app = "masstree";
     DedupMode mode = DedupMode::PageForge;
-    double scale = 0.2;
     double windowMs = 200.0;
-    double settleMs = 30.0;
-    unsigned warmupPasses = 6;
-    std::uint64_t seed = 42;
-    unsigned numMcs = 1;
-    unsigned lanes = 1; //!< phase-2 lane threads (needs --num-mcs > 1)
-    unsigned vms = 0;  //!< 0 = Table 2 default fleet (10 VMs)
     bool dumpStats = false;
     bool forceScalar = false;
-    KsmPlacement placement = KsmPlacement::Sticky;
+    std::string jsonPath;
+
+    CampaignSpec spec; //!< experiment and sysTemplate serve both modes
 
     // ---- observability ----
     bool trace = false;
@@ -64,27 +63,13 @@ struct Options
     bool profile = false;
     std::string profilePath;            //!< empty = stdout
     std::string traceFilter;            //!< empty = every component
-    std::uint64_t metricsInterval = 0;  //!< ticks; 0 = off/default
     std::string metricsCsvPath;
-
-    // ---- VM churn ----
-    ChurnConfig churn{};
-
-    // ---- fault injection ----
-    FaultConfig faults{};
-    double auditIntervalMs = 0.0;
 
     // ---- campaign mode ----
     bool campaign = false;
-    unsigned jobs = 0;  //!< 0 = hardware concurrency
-    unsigned seeds = 1; //!< seeds per (app, mode) cell
-    std::uint64_t queries = 1500;
-    std::string jsonPath;
     bool perfReport = false;
     std::string perfReportPath = "BENCH_simspeed.json";
     double baselineSeconds = 0.0;
-    std::vector<std::string> apps;  //!< empty = all TailBench apps
-    std::vector<DedupMode> modes;   //!< empty = all three modes
 };
 
 std::vector<std::string>
@@ -130,6 +115,10 @@ usage(const char *prog)
         << "  --force-scalar      pin the scalar page-compare kernels\n"
         << "                      (same effect as PF_FORCE_SCALAR=1);\n"
         << "                      results are bit-identical either way\n"
+        << "  --json=FILE         write the result as campaign JSON (one\n"
+        << "                      cell); see tools/check_campaign.py\n"
+        << "  Numbers are unsigned, finite, with no trailing text; counts,\n"
+        << "  scales, windows and intervals must be positive.\n"
         << "fault injection:\n"
         << "  --faults=SPEC       enable fault injection; SPEC is k=v\n"
         << "                      pairs: rate (bit flips/GB/s),\n"
@@ -141,6 +130,7 @@ usage(const char *prog)
         << "                      handoff_spike, spike_mult, seed. e.g.\n"
         << "                      --faults=rate=50,double=0.2,race=0.01\n"
         << "                      --faults=mcwedge=40,handoff_loss=0.05\n"
+        << "                      (a merge-oracle violation exits 1)\n"
         << "  --fault-seed=N      fault RNG stream seed (default 0)\n"
         << "  --audit-interval=N  audit every frame mapping every N ms\n"
         << "                      and fail fast on inconsistency\n"
@@ -152,10 +142,8 @@ usage(const char *prog)
         << "                      lifecycle, fault\n"
         << "  --profile[=FILE]    enable the host-time self-profiler:\n"
         << "                      per-component wall-clock histograms\n"
-        << "                      (table to stdout or FILE), executor\n"
-        << "                      lane telemetry, host-time lane tracks\n"
-        << "                      in the trace, and a \"profile\" key\n"
-        << "                      in campaign JSON\n"
+        << "                      (table to stdout or FILE), lane\n"
+        << "                      telemetry and host-time lane tracks\n"
         << "  --metrics-interval=T  sample metrics every T ticks (also\n"
         << "                      applies per cell in campaign mode)\n"
         << "  --metrics-csv=FILE  write the sampled series as CSV\n"
@@ -163,7 +151,6 @@ usage(const char *prog)
         << "  --campaign          run the (app x mode x seed) matrix\n"
         << "  --jobs=N            worker threads (default: all cores)\n"
         << "  --seeds=K           seeds per cell (default 1)\n"
-        << "  --json=FILE         write the full report as JSON\n"
         << "  --apps=A,B,...      subset of apps (default: all five)\n"
         << "  --modes=M,N,...     subset of modes (default: all three)\n"
         << "  --queries=N         target queries per window (default "
@@ -175,18 +162,65 @@ usage(const char *prog)
     std::exit(1);
 }
 
+/** Parse a --mode/--modes name; false if unknown. */
+bool
+parseMode(const std::string &name, DedupMode &mode)
+{
+    if (name == "baseline")
+        mode = DedupMode::None;
+    else if (name == "ksm")
+        mode = DedupMode::Ksm;
+    else if (name == "pageforge")
+        mode = DedupMode::PageForge;
+    else
+        return false;
+    return true;
+}
+
+/**
+ * Parse the value of a NAME=VALUE argument as a T, or exit 1 naming
+ * the input. The whole value must parse: no sign, no trailing text,
+ * finite, and nonzero when @p positive.
+ */
+template <class T>
+T
+parseNumber(const std::string &arg, bool positive = false)
+{
+    std::size_t eq = arg.find('=');
+    std::string text = arg.substr(eq + 1);
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [stop, err] = std::from_chars(text.data(), end, value);
+    bool ok = err == std::errc() && stop == end && text[0] != '-';
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value);
+    if (positive && value == T(0))
+        ok = false;
+    if (!ok) {
+        std::cerr << "pfsim: bad " << arg.substr(0, eq) << " value '"
+                  << text << "': expected a "
+                  << (positive ? "positive " : "non-negative ")
+                  << (std::is_integral_v<T> ? "integer" : "number")
+                  << "\n";
+        std::exit(1);
+    }
+    return value;
+}
+
 Options
 parse(int argc, char **argv)
 {
     Options opts;
+    ExperimentConfig &exp = opts.spec.experiment;
+    SystemConfig &sys = opts.spec.sysTemplate;
+    exp.memScale = 0.2;
+    exp.targetQueries = 1500;
     // PF_LANES mirrors --lanes (like PF_FORCE_SCALAR for --force-scalar)
     // so CI matrices can vary the thread count without editing argv; an
     // explicit --lanes= wins.
-    if (const char *env = std::getenv("PF_LANES")) {
-        unsigned lanes = static_cast<unsigned>(std::atoi(env));
-        if (lanes > 0)
-            opts.lanes = lanes;
-    }
+    if (const char *env = std::getenv("PF_LANES"))
+        sys.lanes =
+            parseNumber<unsigned>(std::string("PF_LANES=") + env, true);
     bool fault_seed_set = false;
     std::uint64_t fault_seed = 0;
     for (int i = 1; i < argc; ++i) {
@@ -199,73 +233,58 @@ parse(int argc, char **argv)
         if (const char *v = value("--app=")) {
             opts.app = v;
         } else if (const char *v = value("--mode=")) {
-            std::string mode = v;
-            if (mode == "baseline")
-                opts.mode = DedupMode::None;
-            else if (mode == "ksm")
-                opts.mode = DedupMode::Ksm;
-            else if (mode == "pageforge")
-                opts.mode = DedupMode::PageForge;
-            else
+            if (!parseMode(v, opts.mode))
                 usage(argv[0]);
-        } else if (const char *v = value("--scale=")) {
-            opts.scale = std::atof(v);
-        } else if (const char *v = value("--window-ms=")) {
-            opts.windowMs = std::atof(v);
-        } else if (const char *v = value("--settle-ms=")) {
-            opts.settleMs = std::atof(v);
-        } else if (const char *v = value("--warmup-passes=")) {
-            opts.warmupPasses = static_cast<unsigned>(std::atoi(v));
-        } else if (const char *v = value("--seed=")) {
-            opts.seed = std::strtoull(v, nullptr, 10);
-        } else if (const char *v = value("--num-mcs=")) {
-            opts.numMcs = static_cast<unsigned>(std::atoi(v));
-            if (opts.numMcs == 0)
-                usage(argv[0]);
-        } else if (const char *v = value("--lanes=")) {
-            opts.lanes = static_cast<unsigned>(std::atoi(v));
-            if (opts.lanes == 0)
-                usage(argv[0]);
-        } else if (const char *v = value("--vms=")) {
-            opts.vms = static_cast<unsigned>(std::atoi(v));
-            if (opts.vms == 0)
-                usage(argv[0]);
+        } else if (value("--scale=")) {
+            exp.memScale = parseNumber<double>(arg, true);
+        } else if (value("--window-ms=")) {
+            opts.windowMs = parseNumber<double>(arg, true);
+        } else if (value("--settle-ms=")) {
+            exp.settleTime = msToTicks(parseNumber<double>(arg));
+        } else if (value("--warmup-passes=")) {
+            exp.warmupPasses = parseNumber<unsigned>(arg);
+        } else if (value("--seed=")) {
+            exp.seed = parseNumber<std::uint64_t>(arg);
+        } else if (value("--num-mcs=")) {
+            sys.numMcs = parseNumber<unsigned>(arg, true);
+        } else if (value("--lanes=")) {
+            sys.lanes = parseNumber<unsigned>(arg, true);
+        } else if (value("--vms=")) {
+            sys.numVms = sys.numCores = parseNumber<unsigned>(arg, true);
         } else if (const char *v = value("--placement=")) {
             std::string p = v;
             if (p == "sticky")
-                opts.placement = KsmPlacement::Sticky;
+                sys.ksmPlacement = KsmPlacement::Sticky;
             else if (p == "rr")
-                opts.placement = KsmPlacement::RoundRobin;
+                sys.ksmPlacement = KsmPlacement::RoundRobin;
             else if (p == "random")
-                opts.placement = KsmPlacement::Random;
+                sys.ksmPlacement = KsmPlacement::Random;
             else if (p == "pinned")
-                opts.placement = KsmPlacement::Pinned;
+                sys.ksmPlacement = KsmPlacement::Pinned;
             else
                 usage(argv[0]);
         } else if (const char *v = value("--churn=")) {
-            if (!parseChurnKind(v, opts.churn.kind))
+            if (!parseChurnKind(v, exp.churn.kind))
                 usage(argv[0]);
-        } else if (const char *v = value("--churn-rate=")) {
-            double rate = std::atof(v);
-            opts.churn.arrivalsPerSec = rate;
-            opts.churn.departuresPerSec = rate;
+        } else if (value("--churn-rate=")) {
+            double rate = parseNumber<double>(arg);
+            exp.churn.arrivalsPerSec = rate;
+            exp.churn.departuresPerSec = rate;
         } else if (const char *v = value("--template-app=")) {
-            opts.churn.templateApp = v;
+            exp.churn.templateApp = v;
         } else if (const char *v = value("--faults=")) {
             try {
-                opts.faults = FaultConfig::parse(v);
+                exp.faults = FaultConfig::parse(v);
             } catch (const std::invalid_argument &err) {
                 std::cerr << "pfsim: bad --faults spec: " << err.what()
                           << "\n";
                 usage(argv[0]);
             }
-        } else if (const char *v = value("--fault-seed=")) {
-            fault_seed = std::strtoull(v, nullptr, 10);
+        } else if (value("--fault-seed=")) {
+            fault_seed = parseNumber<std::uint64_t>(arg);
             fault_seed_set = true;
-        } else if (const char *v = value("--audit-interval=")) {
-            opts.auditIntervalMs = std::atof(v);
-            if (!(opts.auditIntervalMs > 0.0))
-                usage(argv[0]);
+        } else if (value("--audit-interval=")) {
+            exp.auditInterval = msToTicks(parseNumber<double>(arg, true));
         } else if (arg == "--dump-stats") {
             opts.dumpStats = true;
         } else if (arg == "--force-scalar") {
@@ -282,42 +301,33 @@ parse(int argc, char **argv)
             opts.profilePath = v;
         } else if (const char *v = value("--trace-filter=")) {
             opts.traceFilter = v;
-        } else if (const char *v = value("--metrics-interval=")) {
-            opts.metricsInterval = std::strtoull(v, nullptr, 10);
+        } else if (value("--metrics-interval=")) {
+            exp.metricsInterval = parseNumber<std::uint64_t>(arg);
         } else if (const char *v = value("--metrics-csv=")) {
             opts.metricsCsvPath = v;
         } else if (arg == "--campaign") {
             opts.campaign = true;
-        } else if (const char *v = value("--jobs=")) {
-            opts.jobs = static_cast<unsigned>(std::atoi(v));
-        } else if (const char *v = value("--seeds=")) {
-            opts.seeds = static_cast<unsigned>(std::atoi(v));
-            if (opts.seeds == 0)
-                usage(argv[0]);
+        } else if (value("--jobs=")) {
+            opts.spec.jobs = parseNumber<unsigned>(arg);
+        } else if (value("--seeds=")) {
+            opts.spec.numSeeds = parseNumber<unsigned>(arg, true);
         } else if (const char *v = value("--json=")) {
             opts.jsonPath = v;
         } else if (const char *v = value("--apps=")) {
-            opts.apps = splitList(v);
+            opts.spec.apps = splitList(v);
         } else if (const char *v = value("--modes=")) {
-            for (const std::string &m : splitList(v)) {
-                if (m == "baseline")
-                    opts.modes.push_back(DedupMode::None);
-                else if (m == "ksm")
-                    opts.modes.push_back(DedupMode::Ksm);
-                else if (m == "pageforge")
-                    opts.modes.push_back(DedupMode::PageForge);
-                else
+            for (const std::string &m : splitList(v))
+                if (!parseMode(m, opts.spec.modes.emplace_back()))
                     usage(argv[0]);
-            }
-        } else if (const char *v = value("--queries=")) {
-            opts.queries = std::strtoull(v, nullptr, 10);
+        } else if (value("--queries=")) {
+            exp.targetQueries = parseNumber<std::uint64_t>(arg, true);
         } else if (arg == "--perf-report") {
             opts.perfReport = true;
         } else if (const char *v = value("--perf-report=")) {
             opts.perfReport = true;
             opts.perfReportPath = v;
-        } else if (const char *v = value("--baseline-seconds=")) {
-            opts.baselineSeconds = std::atof(v);
+        } else if (value("--baseline-seconds=")) {
+            opts.baselineSeconds = parseNumber<double>(arg);
         } else {
             usage(argv[0]);
         }
@@ -325,8 +335,23 @@ parse(int argc, char **argv)
     // --fault-seed wins regardless of its position relative to
     // --faults (whose parse() resets the whole struct).
     if (fault_seed_set)
-        opts.faults.seed = fault_seed;
+        exp.faults.seed = fault_seed;
     return opts;
+}
+
+/** Open @p path and hand the stream to @p write; 0 on success. */
+template <class F>
+int
+writeFile(const std::string &path, F &&write)
+{
+    std::ofstream os(path);
+    if (!os) {
+        std::cerr << "cannot open " << path << " for writing\n";
+        return 1;
+    }
+    write(os);
+    std::cerr << "wrote " << path << "\n";
+    return 0;
 }
 
 /** Print (or write) the self-profiler's host-time table. */
@@ -335,53 +360,33 @@ writeProfileOutput(const Options &opts)
 {
     if (!opts.profile)
         return 0;
-    if (opts.profilePath.empty()) {
-        std::cout << "\n---- host-time profile ----\n";
-        prof::writeTable(std::cout);
-        return 0;
-    }
-    std::ofstream os(opts.profilePath);
-    if (!os) {
-        std::cerr << "cannot open " << opts.profilePath
-                  << " for writing\n";
-        return 1;
-    }
-    prof::writeTable(os);
-    std::cerr << "wrote " << opts.profilePath << "\n";
+    if (!opts.profilePath.empty())
+        return writeFile(opts.profilePath, prof::writeTable);
+    std::cout << "\n---- host-time profile ----\n";
+    prof::writeTable(std::cout);
     return 0;
+}
+
+/** Table text of the result field at @p path, or "-" if absent. */
+std::string
+fieldText(const ExperimentResult &r, const std::string &path)
+{
+    for (const ResultField &field : resultFields(r))
+        if (field.path == path)
+            return field.text();
+    return "-";
 }
 
 /** Run the evaluation matrix in parallel and print a summary table. */
 int
 runCampaignMode(const Options &opts)
 {
-    CampaignSpec spec;
-    spec.apps = opts.apps;
-    spec.modes = opts.modes;
-    spec.numSeeds = opts.seeds;
-    spec.jobs = opts.jobs;
-    spec.experiment.memScale = opts.scale;
-    spec.experiment.warmupPasses = opts.warmupPasses;
-    spec.experiment.seed = opts.seed;
-    spec.experiment.targetQueries = opts.queries;
-    spec.experiment.settleTime = msToTicks(opts.settleMs);
-    spec.experiment.churn = opts.churn;
-    spec.experiment.faults = opts.faults;
-    if (opts.auditIntervalMs > 0.0)
-        spec.experiment.auditInterval = msToTicks(opts.auditIntervalMs);
     // Event tracing is single-simulation only (the runner drops any
     // sink); per-cell metrics sampling composes fine with workers.
-    spec.experiment.metricsInterval = opts.metricsInterval;
+    CampaignSpec spec = opts.spec;
     if (opts.trace)
         std::cerr << "pfsim: --trace is ignored in campaign mode "
                      "(per-cell metrics still recorded)\n";
-    spec.sysTemplate.ksmPlacement = opts.placement;
-    spec.sysTemplate.numMcs = opts.numMcs;
-    spec.sysTemplate.lanes = opts.lanes;
-    if (opts.vms) {
-        spec.sysTemplate.numCores = opts.vms;
-        spec.sysTemplate.numVms = opts.vms;
-    }
     spec.progress = [](const CellOutcome &outcome, std::size_t done,
                        std::size_t total) {
         std::fprintf(stderr, "[%zu/%zu] %s / %s (seed %llu): %s\n",
@@ -393,29 +398,26 @@ runCampaignMode(const Options &opts)
 
     CampaignReport report = runCampaign(spec);
 
+    // Headline result fields, by schema key.
+    std::vector<std::string> header = {"Application", "Mode", "Seed",
+                                       "Status", "mean_sojourn_ms",
+                                       "p95_sojourn_ms", "merges",
+                                       "dup.frames_used"};
     TablePrinter table("pfsim campaign: " +
                        std::to_string(report.cells.size()) +
                        " cells, " + std::to_string(report.jobs) +
                        " jobs, " +
                        TablePrinter::fmt(report.wallSeconds, 1) + " s");
-    table.setHeader({"Application", "Mode", "Seed", "Mean (ms)",
-                     "p95 (ms)", "Savings", "Merges", "Status"});
+    table.setHeader(header);
     for (const CellOutcome &outcome : report.cells) {
-        if (outcome.ok) {
-            const ExperimentResult &r = outcome.result;
-            table.addRow(
-                {outcome.cell.app, dedupModeName(outcome.cell.mode),
-                 std::to_string(outcome.cell.seed),
-                 TablePrinter::fmt(r.meanSojournMs, 3),
-                 TablePrinter::fmt(r.p95SojournMs, 3),
-                 TablePrinter::pct(1.0 - r.dup.footprintRatio()),
-                 std::to_string(r.merges), "ok"});
-        } else {
-            table.addRow(
-                {outcome.cell.app, dedupModeName(outcome.cell.mode),
-                 std::to_string(outcome.cell.seed), "-", "-", "-", "-",
-                 "FAILED"});
-        }
+        std::vector<std::string> row = {
+            outcome.cell.app, dedupModeName(outcome.cell.mode),
+            std::to_string(outcome.cell.seed),
+            outcome.ok ? "ok" : "FAILED"};
+        for (std::size_t c = row.size(); c < header.size(); ++c)
+            row.push_back(outcome.ok ? fieldText(outcome.result, header[c])
+                                     : "-");
+        table.addRow(row);
     }
     table.print(std::cout);
 
@@ -429,32 +431,111 @@ runCampaignMode(const Options &opts)
                           << "): " << outcome.error << "\n";
     }
 
-    if (!opts.jsonPath.empty()) {
-        std::ofstream json(opts.jsonPath);
-        if (!json) {
-            std::cerr << "cannot open " << opts.jsonPath
+    int rc = 0;
+    if (!opts.jsonPath.empty())
+        rc |= writeFile(opts.jsonPath, [&](std::ostream &os) {
+            writeCampaignJson(report, os);
+        });
+    if (opts.perfReport)
+        rc |= writeFile(opts.perfReportPath, [&](std::ostream &os) {
+            writePerfReport(report, os, opts.baselineSeconds);
+        });
+    rc |= writeProfileOutput(opts);
+    return rc || report.failures() ? 1 : 0;
+}
+
+/** Run one experiment with a fixed window and print every field. */
+int
+runSingleMode(const Options &opts, std::uint32_t component_mask)
+{
+    std::ofstream trace_os;
+    std::unique_ptr<TraceSink> sink;
+    if (opts.trace) {
+        trace_os.open(opts.tracePath);
+        if (!trace_os) {
+            std::cerr << "cannot open " << opts.tracePath
                       << " for writing\n";
             return 1;
         }
-        writeCampaignJson(report, json);
-        std::cerr << "wrote " << opts.jsonPath << "\n";
+        sink = std::make_unique<TraceSink>(trace_os, component_mask);
     }
 
-    if (opts.perfReport) {
-        std::ofstream perf(opts.perfReportPath);
-        if (!perf) {
-            std::cerr << "cannot open " << opts.perfReportPath
-                      << " for writing\n";
-            return 1;
-        }
-        writePerfReport(report, perf, opts.baselineSeconds);
-        std::cerr << "wrote " << opts.perfReportPath << "\n";
+    ExperimentConfig cfg = opts.spec.experiment;
+    cfg.minMeasure = cfg.maxMeasure = msToTicks(opts.windowMs);
+    cfg.traceSink = sink.get();
+    if (!opts.metricsCsvPath.empty() && cfg.metricsInterval == 0 &&
+        !sink) {
+        std::cerr << "pfsim: --metrics-csv needs --metrics-interval "
+                     "or --trace\n";
+        return 1;
     }
 
+    const AppProfile &app = appByName(opts.app);
+    SystemConfig machine =
+        machineConfig(opts.mode, cfg, opts.spec.sysTemplate);
+    try {
+        cfg.validate(app);
+        machine.validate();
+    } catch (const ConfigError &err) {
+        std::cerr << "pfsim: bad configuration: " << err.what() << "\n";
+        return 1;
+    }
+    System system(machine, app);
+    ExperimentResult result = measure(system, cfg);
+
+    TablePrinter table("pfsim: " + opts.app + " / " +
+                       dedupModeName(opts.mode));
+    table.setHeader({"Field", "Value", "Unit"});
+    for (const ResultField &field : resultFields(result))
+        if (!field.path.empty())
+            table.addRow({field.path, field.text(), field.unit});
+    table.print(std::cout);
+
+    // --json: the result as a one-cell campaign report.
+    CellOutcome cell{{opts.app, opts.mode, cfg.seed}, true, "", result,
+                     "", 0, hostPeakRssKb()};
+    CampaignReport report{{cell}, result.hostSeconds, 1, machine.numMcs,
+                          machine.lanes};
+    if (!opts.jsonPath.empty() &&
+        writeFile(opts.jsonPath, [&](std::ostream &os) {
+            writeCampaignJson(report, os);
+        }))
+        return 1;
+
+    if (opts.dumpStats) {
+        std::cout << "\n---- component statistics ----\n";
+        system.memory().stats().dump(std::cout);
+        for (unsigned m = 0; m < system.numMcs(); ++m)
+            system.memController(m).stats().dump(std::cout);
+        system.hierarchy().stats().dump(std::cout);
+        system.hierarchy().l3().stats().dump(std::cout);
+        system.hierarchy().bus().stats().dump(std::cout);
+        system.hypervisor().stats().dump(std::cout);
+        for (unsigned c = 0; c < system.numCores(); ++c)
+            system.core(c).stats().dump(std::cout);
+        for (unsigned m = 0; m < system.numMcs(); ++m)
+            if (system.pfModule(m))
+                system.pfModule(m)->stats().dump(std::cout);
+    }
+
+    if (sink) {
+        sink->finish();
+        std::cerr << "wrote " << opts.tracePath << " ("
+                  << sink->totalEvents() << " events)\n";
+    }
+    if (!opts.metricsCsvPath.empty() && system.metrics() &&
+        writeFile(opts.metricsCsvPath, [&](std::ostream &os) {
+            system.metrics()->series().writeCsv(os);
+        }))
+        return 1;
     if (int rc = writeProfileOutput(opts))
         return rc;
-
-    return report.failures() ? 1 : 0;
+    if (std::uint64_t violations = result.faults.oracleViolations) {
+        std::cerr << "pfsim: MERGE ORACLE VIOLATION: " << violations
+                  << " merge(s) of differing pages\n";
+        return 1;
+    }
+    return 0;
 }
 
 } // namespace
@@ -485,379 +566,5 @@ main(int argc, char **argv)
 
     if (opts.campaign)
         return runCampaignMode(opts);
-
-    std::ofstream trace_os;
-    std::unique_ptr<TraceSink> sink;
-    if (opts.trace) {
-        trace_os.open(opts.tracePath);
-        if (!trace_os) {
-            std::cerr << "cannot open " << opts.tracePath
-                      << " for writing\n";
-            return 1;
-        }
-        sink = std::make_unique<TraceSink>(trace_os, component_mask);
-    }
-
-    SystemConfig config;
-    config.mode = opts.mode;
-    config.memScale = opts.scale;
-    config.seed = opts.seed;
-    config.numMcs = opts.numMcs;
-    config.lanes = opts.lanes;
-    if (opts.vms) {
-        config.numCores = opts.vms;
-        config.numVms = opts.vms;
-    }
-    config.ksmPlacement = opts.placement;
-    config.churn = opts.churn;
-    config.faults = opts.faults;
-    if (opts.auditIntervalMs > 0.0)
-        config.auditInterval = msToTicks(opts.auditIntervalMs);
-    config.traceSink = sink.get();
-    config.metricsInterval = opts.metricsInterval;
-    if (!opts.metricsCsvPath.empty() && config.metricsInterval == 0 &&
-        !sink) {
-        std::cerr << "pfsim: --metrics-csv needs --metrics-interval "
-                     "or --trace\n";
-        return 1;
-    }
-    // Keep the footprint/cache ratio in the paper's regime, as the
-    // experiment runner does.
-    if (opts.scale < 1.0) {
-        config.l2.sizeBytes = std::max<std::uint32_t>(
-            64 * 1024,
-            static_cast<std::uint32_t>(config.l2.sizeBytes * opts.scale *
-                                       2));
-        config.l3.sizeBytes = std::max<std::uint32_t>(
-            1024 * 1024,
-            static_cast<std::uint32_t>(config.l3.sizeBytes * opts.scale /
-                                       2));
-    }
-
-    const AppProfile &app = appByName(opts.app);
-    try {
-        config.validate();
-    } catch (const ConfigError &err) {
-        std::cerr << "pfsim: bad configuration: " << err.what() << "\n";
-        return 1;
-    }
-    System system(config, app);
-    system.deploy();
-
-    DupAnalysis before = system.hypervisor().analyzeDuplication();
-    if (opts.mode != DedupMode::None)
-        system.warmupDedup(opts.warmupPasses);
-
-    system.startLoad();
-    system.run(msToTicks(opts.settleMs));
-    system.resetMeasurement();
-    Tick window = msToTicks(opts.windowMs);
-    Tick start = system.eventq().curTick();
-    system.run(window);
-    // Final partial metrics epoch + lane-buffer drain, before the
-    // sink finishes or the series is read.
-    system.finishObservability();
-
-    // ---- report ----
-    DupAnalysis after = system.hypervisor().analyzeDuplication();
-    const Sampler &lat = system.latency().aggregate();
-
-    TablePrinter table("pfsim: " + opts.app + " / " +
-                       dedupModeName(opts.mode));
-    table.setHeader({"Metric", "Value"});
-    table.addRow({"queries completed", std::to_string(lat.count())});
-    table.addRow({"mean sojourn (ms)",
-                  TablePrinter::fmt(ticksToMs(Tick(lat.mean())), 3)});
-    table.addRow({"p95 sojourn (ms)",
-                  TablePrinter::fmt(ticksToMs(Tick(lat.p95())), 3)});
-    table.addRow({"p99 sojourn (ms)",
-                  TablePrinter::fmt(
-                      ticksToMs(Tick(lat.quantile(0.99))), 3)});
-    table.addRow({"guest pages", std::to_string(after.mappedPages)});
-    table.addRow({"frames before merging",
-                  std::to_string(before.framesUsed)});
-    table.addRow({"frames now", std::to_string(after.framesUsed)});
-    table.addRow({"footprint savings",
-                  TablePrinter::pct(1.0 - after.footprintRatio())});
-    table.addRow({"merges", std::to_string(system.hypervisor().merges())});
-    table.addRow({"CoW breaks",
-                  std::to_string(system.hypervisor().cowBreaks())});
-    table.addRow({"L3 miss rate",
-                  TablePrinter::pct(system.hierarchy().l3MissRate())});
-    double mean_gbps = 0.0;
-    for (unsigned m = 0; m < system.numMcs(); ++m)
-        mean_gbps += system.memController(m).dram().bandwidth().meanGBps(
-            start, system.eventq().curTick());
-    table.addRow(
-        {"mean DRAM bandwidth (GB/s)", TablePrinter::fmt(mean_gbps)});
-
-    if (opts.mode == DedupMode::Ksm) {
-        Tick busy = 0;
-        for (unsigned c = 0; c < system.numCores(); ++c)
-            busy += system.core(c).busyTicks(Requester::Ksm);
-        table.addRow({"ksmd duty (one-core equiv.)",
-                      TablePrinter::pct(static_cast<double>(busy) /
-                                        static_cast<double>(window))});
-    }
-    if (opts.mode == DedupMode::PageForge) {
-        table.addRow({"PF batches",
-                      std::to_string(system.pfDriver()->refills())});
-        table.addRow({"PF avg batch cycles",
-                      TablePrinter::fmt(
-                          system.pfModule()->tableProcessCycles().mean(),
-                          0)});
-        table.addRow({"PF OS checks",
-                      std::to_string(system.pfDriver()->osChecks())});
-    }
-    if (system.numMcs() > 1) {
-        CrossMcRouter *router = system.crossMcRouter();
-        for (unsigned m = 0; m < system.numMcs(); ++m) {
-            std::string label = "mc" + std::to_string(m);
-            std::string row;
-            if (PageForgeDriver *driver = system.pfDriver()) {
-                row += "scans=" +
-                    std::to_string(driver->shardScans(m)) +
-                    " merges=" + std::to_string(driver->shardMerges(m));
-            }
-            if (router) {
-                if (!row.empty())
-                    row += " ";
-                row += "handoffs_in=" +
-                    std::to_string(router->handoffsTo(m)) +
-                    " handoffs_out=" +
-                    std::to_string(router->handoffsFrom(m));
-            }
-            table.addRow({label, row});
-        }
-        if (router)
-            table.addRow({"cross-MC handoffs",
-                          std::to_string(router->totalHandoffs())});
-    }
-    if (LifecycleManager *lc = system.lifecycle()) {
-        const LifecycleStats &ls = lc->stats();
-        table.addRow({"VM clones", std::to_string(ls.clones)});
-        table.addRow({"VM boots", std::to_string(ls.boots)});
-        table.addRow({"VM shutdowns", std::to_string(ls.shutdowns)});
-        table.addRow({"live dynamic VMs",
-                      std::to_string(lc->liveDynamicVms())});
-        table.addRow({"frames reclaimed (freed)",
-                      std::to_string(ls.framesFreed)});
-        table.addRow({"mean unmerge storm (pages)",
-                      TablePrinter::fmt(ls.unmergeStorm.mean(), 1)});
-        table.addRow({"mean reclaim cost (us)",
-                      TablePrinter::fmt(ls.reclaimLatencyUs.mean(), 1)});
-        table.addRow({"mean merge recovery (ms)",
-                      TablePrinter::fmt(ls.mergeRecoveryMs.mean(), 2)});
-        table.addRow({"recovery timeouts",
-                      std::to_string(ls.recoveryTimeouts)});
-    }
-    std::uint64_t oracle_violations = 0;
-    std::uint64_t ecc_corrected = 0;
-    std::uint64_t ecc_uncorrectable = 0;
-    for (unsigned m = 0; m < system.numMcs(); ++m) {
-        ecc_corrected += system.memController(m).correctedErrors();
-        ecc_uncorrectable +=
-            system.memController(m).uncorrectableErrors();
-    }
-    if (FaultInjector *inj = system.faultInjector()) {
-        const FaultInjectStats &fs = inj->stats();
-        table.addRow({"fault: bit-flip events",
-                      std::to_string(fs.flipEvents)});
-        table.addRow({"fault: single/double flips",
-                      std::to_string(fs.singleBitFlips) + " / " +
-                          std::to_string(fs.doubleBitFlips)});
-        table.addRow({"fault: stuck-at faults",
-                      std::to_string(fs.stuckAtFaults)});
-        table.addRow({"fault: minikey-line targeted",
-                      std::to_string(fs.minikeyTargeted)});
-        table.addRow({"fault: scan-table corruptions",
-                      std::to_string(fs.tableCorruptions)});
-        table.addRow({"fault: merge-race writes",
-                      std::to_string(fs.raceWrites)});
-        table.addRow({"ECC corrected errors",
-                      std::to_string(ecc_corrected)});
-        table.addRow({"ECC uncorrectable errors",
-                      std::to_string(ecc_uncorrectable)});
-        table.addRow({"poisoned frames",
-                      std::to_string(system.memory().poisonedFrames())});
-        table.addRow({"quarantined frames",
-                      std::to_string(
-                          system.memory().quarantinedFrames())});
-        if (opts.mode == DedupMode::PageForge) {
-            table.addRow({"false key matches",
-                          std::to_string(
-                              system.pfDriver()->falseKeyMatches())});
-            table.addRow({"ECC offset rotations",
-                          std::to_string(
-                              system.pfDriver()->offsetRotations())});
-            table.addRow({"merge aborts / retries",
-                          std::to_string(system.pfDriver()->mergeAborts()) +
-                              " / " +
-                              std::to_string(
-                                  system.pfDriver()->mergeRetries())});
-        }
-        if (fs.mcWedges || fs.brownouts) {
-            table.addRow({"fault: module wedges",
-                          std::to_string(fs.mcWedges)});
-            table.addRow({"fault: channel brownouts",
-                          std::to_string(fs.brownouts)});
-        }
-        if (CrossMcRouter *router = system.crossMcRouter()) {
-            if (router->handoffsLost() || router->handoffsCorrupted() ||
-                router->handoffsSpiked()) {
-                table.addRow({"handoffs lost / corrupted / spiked",
-                              std::to_string(router->handoffsLost()) +
-                                  " / " +
-                                  std::to_string(
-                                      router->handoffsCorrupted()) +
-                                  " / " +
-                                  std::to_string(
-                                      router->handoffsSpiked())});
-                table.addRow({"handoff retries / dead letters",
-                              std::to_string(router->handoffRetries()) +
-                                  " / " +
-                                  std::to_string(
-                                      router->handoffDeadLetters())});
-            }
-        }
-        if (ModuleWatchdog *dog = system.watchdog()) {
-            table.addRow({"wedges detected / restarts",
-                          std::to_string(dog->wedgesDetected()) + " / " +
-                              std::to_string(dog->moduleRestarts())});
-            table.addRow({"failovers / readmissions",
-                          std::to_string(dog->failovers()) + " / " +
-                              std::to_string(dog->readmissions())});
-        }
-        if (McHealthMonitor *health = system.healthMonitor()) {
-            for (unsigned m = 0; m < health->numMcs(); ++m) {
-                table.addRow({"mc" + std::to_string(m) + " health",
-                              std::string(mcHealthName(
-                                  health->state(m))) +
-                                  " (" +
-                                  std::to_string(
-                                      health->transitionsOf(m)) +
-                                  " transitions)"});
-            }
-        }
-        if (MergeOracle *oracle = system.mergeOracle()) {
-            oracle_violations = oracle->violations();
-            table.addRow({"merge oracle checks",
-                          std::to_string(oracle->checks())});
-            table.addRow({"merge oracle violations",
-                          std::to_string(oracle_violations)});
-        }
-    }
-    table.print(std::cout);
-
-    if (FaultInjector *inj = system.faultInjector()) {
-        // One greppable line for CI smoke checks.
-        const FaultInjectStats &fs = inj->stats();
-        const MergeOracle *oracle = system.mergeOracle();
-        // New fields must stay BEFORE oracle_violations: CI greps for
-        // "oracle_violations=0$" at end of line.
-        const CrossMcRouter *router = system.crossMcRouter();
-        const ModuleWatchdog *dog = system.watchdog();
-        const ShardMap *shards = system.shardMap();
-        std::cout << "pfsim: fault summary:"
-                  << " flips=" << fs.flipEvents
-                  << " corrected=" << ecc_corrected
-                  << " uncorrectable=" << ecc_uncorrectable
-                  << " poisoned=" << system.memory().poisonedFrames()
-                  << " quarantined="
-                  << system.memory().quarantinedFrames()
-                  << " race_writes=" << fs.raceWrites
-                  << " merge_aborts="
-                  << (opts.mode == DedupMode::PageForge
-                          ? system.pfDriver()->mergeAborts()
-                          : 0)
-                  << " mc_wedges=" << fs.mcWedges
-                  << " brownouts=" << fs.brownouts
-                  << " handoffs_lost="
-                  << (router ? router->handoffsLost() : 0)
-                  << " handoff_retries="
-                  << (router ? router->handoffRetries() : 0)
-                  << " handoff_dead_letters="
-                  << (router ? router->handoffDeadLetters() : 0)
-                  << " wedges_detected="
-                  << (dog ? dog->wedgesDetected() : 0)
-                  << " module_restarts="
-                  << (dog ? dog->moduleRestarts() : 0)
-                  << " failovers=" << (dog ? dog->failovers() : 0)
-                  << " readmissions="
-                  << (dog ? dog->readmissions() : 0)
-                  << " rehomed_prefixes="
-                  << (shards ? shards->rehomedPrefixes() : 0)
-                  << " oracle_checks="
-                  << (oracle ? oracle->checks() : 0)
-                  << " cross_mc_checks="
-                  << (oracle ? oracle->crossMcChecks() : 0)
-                  << " oracle_violations=" << oracle_violations << "\n";
-    }
-
-    if (LaneScheduler *sched = system.laneScheduler()) {
-        const ExecTelemetry &tel = sched->telemetry();
-        // Greppable executor-telemetry lines for CI smoke checks;
-        // quanta == 0 means the profiler was off (nothing recorded).
-        if (prof::enabled() && tel.quanta > 0) {
-            std::cout << "pfsim: exec telemetry: quanta=" << tel.quanta
-                      << " phase1_ns=" << tel.phase1Ns
-                      << " drain_ns=" << tel.drainNs
-                      << " phase2_ns=" << tel.phase2Ns
-                      << " mailbox_hwm=" << tel.mailboxHwm
-                      << " phase2_efficiency="
-                      << TablePrinter::fmt(tel.phase2Efficiency(), 3)
-                      << "\n";
-            for (std::size_t l = 0; l < tel.lanes.size(); ++l) {
-                const LaneExecStats &lane = tel.lanes[l];
-                std::cout << "pfsim: lane" << l
-                          << ": busy_ns=" << lane.busyNs
-                          << " idle_ns=" << lane.idleNs
-                          << " stall_ns=" << lane.stallNs
-                          << " total_ns="
-                          << lane.busyNs + lane.idleNs + lane.stallNs
-                          << "\n";
-            }
-        }
-    }
-
-    if (opts.dumpStats) {
-        std::cout << "\n---- component statistics ----\n";
-        system.memory().stats().dump(std::cout);
-        for (unsigned m = 0; m < system.numMcs(); ++m)
-            system.memController(m).stats().dump(std::cout);
-        system.hierarchy().stats().dump(std::cout);
-        system.hierarchy().l3().stats().dump(std::cout);
-        system.hierarchy().bus().stats().dump(std::cout);
-        system.hypervisor().stats().dump(std::cout);
-        for (unsigned c = 0; c < system.numCores(); ++c)
-            system.core(c).stats().dump(std::cout);
-        for (unsigned m = 0; m < system.numMcs(); ++m)
-            if (system.pfModule(m))
-                system.pfModule(m)->stats().dump(std::cout);
-    }
-
-    if (sink) {
-        sink->finish();
-        std::cerr << "wrote " << opts.tracePath << " ("
-                  << sink->totalEvents() << " events)\n";
-    }
-    if (!opts.metricsCsvPath.empty() && system.metrics()) {
-        std::ofstream csv(opts.metricsCsvPath);
-        if (!csv) {
-            std::cerr << "cannot open " << opts.metricsCsvPath
-                      << " for writing\n";
-            return 1;
-        }
-        system.metrics()->series().writeCsv(csv);
-        std::cerr << "wrote " << opts.metricsCsvPath << "\n";
-    }
-    if (int rc = writeProfileOutput(opts))
-        return rc;
-    if (oracle_violations) {
-        std::cerr << "pfsim: MERGE ORACLE VIOLATION: "
-                  << oracle_violations
-                  << " merge(s) of differing pages\n";
-        return 1;
-    }
-    return 0;
+    return runSingleMode(opts, component_mask);
 }
