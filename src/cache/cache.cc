@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <cstdlib>
+
 #include "sim/logging.hh"
 
 namespace pageforge
@@ -21,11 +23,20 @@ mesiName(MesiState state)
     return "?";
 }
 
+LineHolders::LineHolders(std::size_t total_lines)
+    : _lines(total_lines),
+      _mask(static_cast<Mask *>(std::calloc(total_lines, sizeof(Mask))),
+            std::free)
+{
+    if (!_mask)
+        fatal("cannot allocate the holder mask for %zu lines", total_lines);
+}
+
 Cache::Cache(const CacheConfig &config)
     : _config(config), _numSets(config.numSets()),
       _tags(static_cast<std::size_t>(_numSets) * config.ways, 0),
       _lastUsed(static_cast<std::size_t>(_numSets) * config.ways, 0),
-      _stats(config.name)
+      _kernels(simd::tagKernels()), _stats(config.name)
 {
     pf_assert(_numSets > 0, "cache '%s' has no sets",
               config.name.c_str());
@@ -42,18 +53,10 @@ Cache::insert(Addr line_addr, MesiState state)
 {
     pf_assert(state != MesiState::Invalid, "inserting an invalid line");
 
-    // Staged kernel scans over the set: resident copy first, then the
-    // first invalid way, then the LRU timestamp reduction — each one
-    // short and vectorized, and the set's tags sit in one or two host
-    // cache lines so the repeat passes are register/L1 traffic. The
-    // victim chosen is identical to the old single scalar pass: the
-    // first invalid way wins, else the unique oldest timestamp (the
-    // argmin runs only when every way is valid, so stale timestamps
-    // on invalid ways can't be picked).
     std::size_t base =
         static_cast<std::size_t>(setIndex(line_addr)) * _config.ways;
-    const std::uint64_t *set_tags = _tags.data() + base;
-    std::uint32_t match = simd::findTagWay(set_tags, _config.ways, line_addr);
+    std::uint32_t match =
+        _kernels.findTagWay(_tags.data() + base, _config.ways, line_addr);
     if (match != simd::noWay) {
         // Refill of a resident line: just update state and recency.
         std::size_t idx = base + match;
@@ -61,8 +64,29 @@ Cache::insert(Addr line_addr, MesiState state)
         _lastUsed[idx] = ++_useClock;
         return {};
     }
+    return fillSet(base, line_addr, state);
+}
 
-    std::uint32_t free_way = simd::findFreeWay(set_tags, _config.ways);
+Victim
+Cache::fill(Addr line_addr, MesiState state)
+{
+    pf_assert(state != MesiState::Invalid, "inserting an invalid line");
+    return fillSet(
+        static_cast<std::size_t>(setIndex(line_addr)) * _config.ways,
+        line_addr, state);
+}
+
+Victim
+Cache::fillSet(std::size_t base, Addr line_addr, MesiState state)
+{
+    // Two staged kernel scans over the set: the first invalid way,
+    // then the LRU timestamp reduction — each short, and the set's
+    // tags sit in one or two host cache lines so the repeat pass is
+    // register/L1 traffic. The first invalid way wins, else the
+    // unique oldest timestamp (the argmin runs only when every way is
+    // valid, so stale timestamps on invalid ways can't be picked).
+    std::uint32_t free_way =
+        _kernels.findFreeWay(_tags.data() + base, _config.ways);
     std::size_t victim_idx = free_way != simd::noWay
         ? base + free_way
         : base + simd::argminU64(_lastUsed.data() + base, _config.ways);
@@ -73,14 +97,13 @@ Cache::insert(Addr line_addr, MesiState state)
         victim.addr = old_tag & ~stateMask;
         victim.dirty = tagState(old_tag) == MesiState::Modified;
         ++_evictions;
-        if (_residency)
-            _residency->remove(victim.addr);
+        noteRemoved(victim.addr);
     }
 
     _tags[victim_idx] = makeTag(line_addr, state);
     _lastUsed[victim_idx] = ++_useClock;
-    if (_residency)
-        _residency->add(line_addr);
+    if (_holders)
+        _holders->set(line_addr, _holderBit);
     return victim;
 }
 
@@ -93,8 +116,7 @@ Cache::setState(Addr line_addr, MesiState state)
               _config.name.c_str());
     if (state == MesiState::Invalid) {
         _tags[idx] = 0;
-        if (_residency)
-            _residency->remove(line_addr);
+        noteRemoved(line_addr);
     } else {
         _tags[idx] = makeTag(line_addr, state);
     }
@@ -108,8 +130,7 @@ Cache::invalidate(Addr line_addr)
         return false;
     bool dirty = tagState(_tags[idx]) == MesiState::Modified;
     _tags[idx] = 0;
-    if (_residency)
-        _residency->remove(line_addr);
+    noteRemoved(line_addr);
     return dirty;
 }
 

@@ -14,6 +14,7 @@
 #define PF_CACHE_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,44 +63,69 @@ struct Victim
 };
 
 /**
- * Exact count of how many attached caches hold each line, shared by
- * every cache of a hierarchy. A zero count proves the line is in no
- * cache, letting snoop paths skip the per-cache tag probes entirely —
- * the common case for the dedup engines, which stream lines that are
- * rarely cached anywhere. Counts move only on the residency
- * transitions inside Cache (fill of an empty way, eviction,
- * invalidation), so the filter is a pure host-side accelerator: every
- * probe it short-circuits would have returned "absent".
+ * Which caches of a hierarchy may hold each line: one bit per core's
+ * L2 and one bit for the L3, shared by every cache of the hierarchy.
+ * The L1s need no bit: an L1 is a subset of its core's L2. A clear bit
+ * proves that cache does not hold the line, so the demand path, the
+ * peer snoop and the memory controller's probe scan only the caches
+ * whose bit is set — a probe of a cache without the line changes
+ * nothing but a miss counter, which Cache::missFast() records alone.
+ * Bits move only on the residency transitions inside Cache (fill of
+ * an empty way, eviction, invalidation), so the mask is a host-side
+ * accelerator: the simulated results cannot depend on it.
+ *
+ * With at most l2Bits cores every bit belongs to one cache and the
+ * mask is exact. Beyond that, core c shares bit c % l2Bits with the
+ * other cores of its group; a shared bit is set by any member's fill
+ * and cleared only by the hierarchy once probing the whole group finds
+ * no holder, so it is a superset. A stale bit costs one probe that
+ * misses, never a different result.
+ *
+ * The array is calloc'd, so a page of it that no fill wrote costs no
+ * host memory.
  */
-class LineResidency
+class LineHolders
 {
   public:
-    explicit LineResidency(std::size_t total_lines)
-        : _count(total_lines, 0)
+    using Mask = std::uint16_t;
+
+    /** Bits for the per-core L2s; the top bit is the L3's. */
+    static constexpr unsigned l2Bits = 15;
+    static constexpr Mask l3Bit = Mask{1} << l2Bits;
+    static constexpr Mask allL2Bits = l3Bit - 1;
+
+    /** The bit of core @p core's L2. */
+    static Mask
+    l2Bit(unsigned core)
     {
+        return static_cast<Mask>(Mask{1} << (core % l2Bits));
     }
 
-    /** Could any attached cache hold @p line_addr? Exact, not a guess. */
-    bool
-    holds(Addr line_addr) const
-    {
-        return _count[index(line_addr)] != 0;
-    }
+    explicit LineHolders(std::size_t total_lines);
 
-    void add(Addr line_addr) { ++_count[index(line_addr)]; }
-    void remove(Addr line_addr) { --_count[index(line_addr)]; }
+    /** Bits of the caches that may hold @p line_addr. */
+    Mask of(Addr line_addr) const { return _mask[index(line_addr)]; }
+
+    void set(Addr line_addr, Mask bits) { _mask[index(line_addr)] |= bits; }
+
+    void
+    clear(Addr line_addr, Mask bits)
+    {
+        _mask[index(line_addr)] &= static_cast<Mask>(~bits);
+    }
 
   private:
     std::size_t
     index(Addr line_addr) const
     {
         std::size_t i = static_cast<std::size_t>(line_addr / lineSize);
-        pf_assert(i < _count.size(), "line %llx beyond residency range",
+        pf_assert(i < _lines, "line %llx beyond holder-mask range",
                   static_cast<unsigned long long>(line_addr));
         return i;
     }
 
-    std::vector<std::uint8_t> _count;
+    std::size_t _lines;
+    std::unique_ptr<Mask[], void (*)(void *)> _mask;
 };
 
 /** The tag array of one cache. */
@@ -149,6 +175,13 @@ class Cache
     Victim insert(Addr line_addr, MesiState state);
 
     /**
+     * insert() for a line the caller has proven absent: skips the scan
+     * for a resident copy.
+     * @pre !contains(line_addr)
+     */
+    Victim fill(Addr line_addr, MesiState state);
+
+    /**
      * Change the state of a resident line.
      * @pre the line is present
      */
@@ -176,19 +209,22 @@ class Cache
     void resetStats();
 
     /**
-     * Share a residency filter with this cache; fills, evictions, and
-     * invalidations keep its counts exact from then on. Must be
+     * Report this cache's fills, evictions and invalidations to
+     * @p holders under @p bit. A bit @p shared with other caches is
+     * set on fill but never cleared here (see LineHolders). Must be
      * attached while the cache is empty.
      */
     void
-    attachResidency(LineResidency *residency)
+    attachHolders(LineHolders *holders, LineHolders::Mask bit, bool shared)
     {
-        _residency = residency;
+        _holders = holders;
+        _holderBit = bit;
+        _clearBit = shared ? 0 : bit;
     }
 
     /**
      * Record a demand miss without scanning the set. Only valid when
-     * the caller has proven the line absent (residency count zero):
+     * the caller has proven the line absent (holder bit clear):
      * access() on an absent line touches nothing but the miss counter.
      */
     void missFast() { ++_misses; }
@@ -231,7 +267,21 @@ class Cache
     std::vector<std::uint64_t> _tags;     // numSets x ways
     std::vector<std::uint64_t> _lastUsed; // numSets x ways
     std::uint64_t _useClock = 0;
-    LineResidency *_residency = nullptr;
+    simd::TagKernels _kernels;
+    LineHolders *_holders = nullptr;
+    LineHolders::Mask _holderBit = 0;
+    LineHolders::Mask _clearBit = 0; //!< 0 when the bit is shared
+
+    /** Fill @p line_addr into the set at @p base (no resident copy). */
+    Victim fillSet(std::size_t base, Addr line_addr, MesiState state);
+
+    /** Report that @p line_addr left this cache. */
+    void
+    noteRemoved(Addr line_addr)
+    {
+        if (_clearBit)
+            _holders->clear(line_addr, _clearBit);
+    }
 
     Counter _hits;
     Counter _misses;

@@ -22,7 +22,7 @@ Hierarchy::Hierarchy(std::string name, EventQueue &eq, unsigned num_cores,
                      MemController &mc)
     : SimObject(std::move(name), eq), _numCores(num_cores),
       _bus(this->name() + ".bus", eq, bus_cfg), _mcs{&mc},
-      _residency(mc.memory().totalFrames() * linesPerPage),
+      _holders(mc.memory().totalFrames() * linesPerPage),
       _stats(this->name())
 {
     pf_assert(num_cores > 0, "hierarchy with no cores");
@@ -33,15 +33,19 @@ Hierarchy::Hierarchy(std::string name, EventQueue &eq, unsigned num_cores,
         l2.name = this->name() + ".l2." + std::to_string(c);
         _l1.push_back(std::make_unique<Cache>(l1));
         _l2.push_back(std::make_unique<Cache>(l2));
-        _l1.back()->attachResidency(&_residency);
-        _l2.back()->attachResidency(&_residency);
+        // Core c shares its bit with core c +- l2Bits, if there is one.
+        bool shared =
+            c % LineHolders::l2Bits + LineHolders::l2Bits < num_cores;
+        _l2.back()->attachHolders(&_holders, LineHolders::l2Bit(c), shared);
+        if (shared)
+            _sharedL2Bits |= LineHolders::l2Bit(c);
         _l2Mshr.push_back(
             std::make_unique<Mshr>(l2.name + ".mshr", l2.mshrs));
     }
     CacheConfig l3 = l3_cfg;
     l3.name = this->name() + ".l3";
     _l3 = std::make_unique<Cache>(l3);
-    _l3->attachResidency(&_residency);
+    _l3->attachHolders(&_holders, LineHolders::l3Bit, false);
 
     _stats.addCounter("upgrades", "S->M bus upgrade transactions",
                       _upgrades);
@@ -56,7 +60,8 @@ Hierarchy::Hierarchy(std::string name, EventQueue &eq, unsigned num_cores,
 void
 Hierarchy::fillL1(CoreId core, Addr line_addr, bool dirty)
 {
-    Victim victim = _l1[core]->insert(
+    // Called only after this core's L1 missed the line.
+    Victim victim = _l1[core]->fill(
         line_addr, dirty ? MesiState::Modified : MesiState::Shared);
     if (victim.valid && victim.dirty) {
         // Dirty L1 victims drain into the core's L2; inclusion
@@ -69,7 +74,8 @@ Hierarchy::fillL1(CoreId core, Addr line_addr, bool dirty)
 void
 Hierarchy::fillL2(CoreId core, Addr line_addr, MesiState state, Tick now)
 {
-    Victim victim = _l2[core]->insert(line_addr, state);
+    // Called only after this core's L2 missed the line.
+    Victim victim = _l2[core]->fill(line_addr, state);
     if (victim.valid) {
         // Enforce inclusion: the L1 copy must go when the L2 copy goes.
         bool l1_dirty = _l1[core]->invalidate(victim.addr);
@@ -85,8 +91,11 @@ Hierarchy::fillL2(CoreId core, Addr line_addr, MesiState state, Tick now)
 void
 Hierarchy::fillL3(Addr line_addr, bool dirty, Tick now)
 {
-    Victim victim = _l3->insert(
-        line_addr, dirty ? MesiState::Modified : MesiState::Exclusive);
+    // A clear L3 bit proves the line absent: skip the resident scan.
+    MesiState state = dirty ? MesiState::Modified : MesiState::Exclusive;
+    Victim victim = (_holders.of(line_addr) & LineHolders::l3Bit)
+        ? _l3->insert(line_addr, state)
+        : _l3->fill(line_addr, state);
     if (victim.valid && victim.dirty) {
         mcFor(victim.addr).writeLine(victim.addr, now,
                                      Requester::Writeback);
@@ -94,19 +103,20 @@ Hierarchy::fillL3(Addr line_addr, bool dirty, Tick now)
     }
 }
 
-bool
-Hierarchy::invalidatePeers(CoreId core, Addr line_addr, Tick now)
+void
+Hierarchy::invalidatePeers(CoreId core, Addr line_addr)
 {
-    (void)now;
-    bool any = false;
+    const LineHolders::Mask holders = _holders.of(line_addr);
     for (unsigned p = 0; p < _numCores; ++p) {
-        if (p == core)
+        if (p == core || !(holders & LineHolders::l2Bit(p)))
             continue;
-        if (_l2[p]->invalidate(line_addr))
-            any = true;
+        _l2[p]->invalidate(line_addr);
         _l1[p]->invalidate(line_addr);
     }
-    return any;
+    // No L2 but this core's holds the line now.
+    clearStaleL2Bits(line_addr,
+                     holders & static_cast<LineHolders::Mask>(
+                                   ~LineHolders::l2Bit(core)));
 }
 
 AccessResult
@@ -124,10 +134,10 @@ Hierarchy::access(CoreId core, Addr addr, bool write, Tick now,
     const Tick l3_lat = _l3->config().hitLatency;
 
     // ---- L1 ----
-    // The L1 probe comes before the residency check on purpose: its
-    // tag array is small enough to stay hot in the host's caches,
-    // while the residency filter is a byte load from a frames-sized
-    // array that usually misses — worth paying only once the L1 has.
+    // The L1 probe comes before the holder mask on purpose: its tag
+    // array is small enough to stay hot in the host's caches, while
+    // the mask is a load from a frames-sized array that usually
+    // misses — worth paying only once the L1 has.
     MesiState s1 = l1.access(line);
     if (s1 != MesiState::Invalid) {
         Tick lat = l1_lat;
@@ -144,7 +154,7 @@ Hierarchy::access(CoreId core, Addr addr, bool write, Tick now,
             if (s2 == MesiState::Shared) {
                 // Upgrade: invalidate the other sharers over the bus.
                 Tick done = _bus.transact(now + lat, false);
-                invalidatePeers(core, line, now);
+                invalidatePeers(core, line);
                 ++_upgrades;
                 lat = done - now;
             }
@@ -154,21 +164,23 @@ Hierarchy::access(CoreId core, Addr addr, bool write, Tick now,
         return {lat, AccessSource::L1};
     }
 
-    // A zero residency count proves no cache holds the line: record
-    // the L2 miss without scanning its set and skip the peer and L3
-    // probes below — access() on an absent line touches nothing else.
-    const bool cached_somewhere = _residency.holds(line);
-    if (!cached_somewhere)
-        l2.missFast();
+    // A clear bit proves that cache lacks the line: record its miss
+    // without scanning the set, and skip its probe below — access()
+    // on an absent line touches nothing else. Only the snoop loop
+    // changes the mask before the fill, and only peers' bits.
+    const LineHolders::Mask holders = _holders.of(line);
 
     // ---- L2 ----
-    MesiState s2 =
-        cached_somewhere ? l2.access(line) : MesiState::Invalid;
+    MesiState s2 = MesiState::Invalid;
+    if (holders & LineHolders::l2Bit(core))
+        s2 = l2.access(line);
+    else
+        l2.missFast();
     if (s2 != MesiState::Invalid) {
         Tick lat = l1_lat + l2_lat;
         if (write && s2 == MesiState::Shared) {
             Tick done = _bus.transact(now + lat, false);
-            invalidatePeers(core, line, now);
+            invalidatePeers(core, line);
             ++_upgrades;
             lat = done - now;
         }
@@ -191,8 +203,11 @@ Hierarchy::access(CoreId core, Addr addr, bool write, Tick now,
     Tick bus_done = _bus.transact(start, false);
     bool peer_had = false;
     bool peer_was_m = false;
-    for (unsigned p = 0; cached_somewhere && p < _numCores; ++p) {
-        if (p == core)
+    LineHolders::Mask kept = 0; // bits of peers left holding the line
+    const bool peers_may_hold = holders & LineHolders::allL2Bits;
+    for (unsigned p = 0; peers_may_hold && p < _numCores; ++p) {
+        const LineHolders::Mask bit = LineHolders::l2Bit(p);
+        if (p == core || !(holders & bit))
             continue;
         MesiState sp = _l2[p]->probe(line);
         if (sp == MesiState::Invalid)
@@ -204,11 +219,15 @@ Hierarchy::access(CoreId core, Addr addr, bool write, Tick now,
             _l2[p]->invalidate(line);
             _l1[p]->invalidate(line);
         } else {
+            kept |= bit;
             _l2[p]->setState(line, MesiState::Shared);
             if (_l1[p]->contains(line))
                 _l1[p]->setState(line, MesiState::Shared);
         }
     }
+    // Every L2 whose bit was set has been probed (this core's missed
+    // above), so a set bit no remaining holder backs is stale.
+    clearStaleL2Bits(line, holders & static_cast<LineHolders::Mask>(~kept));
 
     Tick done;
     AccessSource source;
@@ -221,13 +240,11 @@ Hierarchy::access(CoreId core, Addr addr, bool write, Tick now,
         source = AccessSource::Peer;
     } else {
         ++_l3AccessBy[reqIdx(req)];
-        MesiState s3;
-        if (cached_somewhere) {
+        MesiState s3 = MesiState::Invalid;
+        if (holders & LineHolders::l3Bit)
             s3 = _l3->access(line);
-        } else {
+        else
             _l3->missFast();
-            s3 = MesiState::Invalid;
-        }
         if (s3 != MesiState::Invalid) {
             done = _bus.transact(bus_done + l3_lat, true);
             source = AccessSource::L3;
@@ -256,15 +273,7 @@ Hierarchy::snoopForMc(Addr addr, Tick now)
     // Address-phase probe on the bus; every cache checks its tags.
     Tick probe_done = _bus.probe(now);
 
-    // Zero residency count: no cache can hit, skip the tag probes.
-    if (!_residency.holds(line))
-        return {false, probe_done};
-
-    bool hit = _l3->probe(line) != MesiState::Invalid;
-    for (unsigned c = 0; c < _numCores && !hit; ++c)
-        hit = _l2[c]->probe(line) != MesiState::Invalid;
-
-    if (!hit)
+    if (!anyCacheHolds(line))
         return {false, probe_done};
 
     // A cache supplies the line over the bus to the memory controller.
@@ -277,16 +286,19 @@ Hierarchy::snoopForMc(Addr addr, Tick now)
 bool
 Hierarchy::anyCacheHolds(Addr line_addr) const
 {
+    // Only caches whose bit is set can hold the line, and an L1 only
+    // what its L2 holds.
     Addr line = lineAlign(line_addr);
-    if (!_residency.holds(line))
+    const LineHolders::Mask holders = _holders.of(line);
+    if (!holders)
         return false;
-    if (_l3->probe(line) != MesiState::Invalid)
+    if ((holders & LineHolders::l3Bit) &&
+        _l3->probe(line) != MesiState::Invalid)
         return true;
     for (unsigned c = 0; c < _numCores; ++c) {
-        if (_l2[c]->probe(line) != MesiState::Invalid ||
-            _l1[c]->probe(line) != MesiState::Invalid) {
+        if ((holders & LineHolders::l2Bit(c)) &&
+            _l2[c]->probe(line) != MesiState::Invalid)
             return true;
-        }
     }
     return false;
 }

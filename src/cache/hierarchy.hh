@@ -86,6 +86,13 @@ class Hierarchy : public SimObject
     /** True when any cache holds the line (no timing, for tests). */
     bool anyCacheHolds(Addr line_addr) const;
 
+    /** The holder-mask bits of @p line_addr (LineHolders, for tests). */
+    LineHolders::Mask
+    holders(Addr line_addr) const
+    {
+        return _holders.of(lineAlign(line_addr));
+    }
+
     unsigned numCores() const { return _numCores; }
 
     Cache &l1(CoreId core) { return *_l1[core]; }
@@ -153,11 +160,18 @@ class Hierarchy : public SimObject
     std::vector<MemController *> _mcs; //!< [0] is the ctor's controller
 
     /**
-     * Holder count per line across every cache of this hierarchy; a
-     * zero count short-circuits snoop and peer-probe tag scans (the
-     * dedup engines mostly touch lines no cache holds).
+     * Which L2s and whether the L3 may hold each line: demand, snoop
+     * and peer paths probe only the caches whose bit is set (the dedup
+     * engines mostly touch lines no cache holds, and a line in the L3
+     * is rarely in a peer's L2).
      */
-    LineResidency _residency;
+    LineHolders _holders;
+
+    /**
+     * L2 bits two or more cores share (none with at most
+     * LineHolders::l2Bits cores); the hierarchy clears these itself.
+     */
+    LineHolders::Mask _sharedL2Bits = 0;
 
     std::uint64_t _l3AccessBy[numRequesters] = {};
     std::uint64_t _l3MissBy[numRequesters] = {};
@@ -177,7 +191,20 @@ class Hierarchy : public SimObject
     void fillL3(Addr line_addr, bool dirty, Tick now);
 
     /** Invalidate the line in every other core's private caches. */
-    bool invalidatePeers(CoreId core, Addr line_addr, Tick now);
+    void invalidatePeers(CoreId core, Addr line_addr);
+
+    /**
+     * Clear the shared bits among @p stale, which the caller has
+     * proven no L2 backs. Unshared bits are exact already: each cache
+     * clears its own.
+     */
+    void
+    clearStaleL2Bits(Addr line_addr, LineHolders::Mask stale)
+    {
+        stale &= _sharedL2Bits;
+        if (stale)
+            _holders.clear(line_addr, stale);
+    }
 };
 
 } // namespace pageforge

@@ -155,7 +155,7 @@ struct MergeStats
     std::uint64_t pagesScanned = 0;
     std::uint64_t stableMerges = 0;   //!< merged with a stable page
     std::uint64_t unstableMerges = 0; //!< new pair merged
-    std::uint64_t pagesDropped = 0;   //!< changed since last pass
+    std::uint64_t pagesDropped = 0;   //!< changed, raced or poisoned
     std::uint64_t stableSearches = 0;
     std::uint64_t unstableSearches = 0;
     std::uint64_t fullPasses = 0;

@@ -276,6 +276,12 @@ Ksmd::scanOne(CoreId core, const PageKey &key, Tick now)
 
     if (stable_res.match) {
         FrameId target = handleFrame(_stable.handle(stable_res.match));
+        if (mem.isPoisoned(target)) {
+            // The search's own fetch quarantined the match (see the
+            // verify below): never merge into a poisoned frame.
+            ++_mergeStats.pagesDropped;
+            return now;
+        }
         if (_hyper.mergeIntoFrame(key, target)) {
             ++_mergeStats.stableMerges;
             now += cost.mergeCycles;
@@ -327,6 +333,15 @@ Ksmd::scanOne(CoreId core, const PageKey &key, Tick now)
     now = fetchLines(core, other_frame, linesPerPage, now);
     now += cost.compareLineCycles * linesPerPage;
     _cycleStats.compareCycles += now - verify_start;
+
+    if (mem.isPoisoned(other_frame)) {
+        // An uncorrectable error in the verify fetch quarantined the
+        // keeper's frame: a poisoned frame is neither a merge target
+        // nor a stable-tree node. Give up on the candidate, as for a
+        // race.
+        ++_mergeStats.pagesDropped;
+        return now;
+    }
 
     if (!_hyper.pagesEqual(page, _hyper.vm(other.vm).page(other.gpn))) {
         // Raced with a write between compare and protect: give up on

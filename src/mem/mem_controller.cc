@@ -65,6 +65,7 @@ MemController::resetTiming()
 {
     _pendingReads.clear();
     _pendingPairs.clear();
+    _pendingMin = maxTick;
     _dram.resetTiming();
 }
 
@@ -76,13 +77,15 @@ MemController::prunePending(Tick now)
     // unchanged. (Request times are not monotonic across walkers, so
     // an entry expired for this caller may still coalesce for a later
     // caller with an earlier local time: the erase set is observable
-    // and must match the reference sweep exactly.) Sweeping the flat
-    // pair array amortizes to O(1) per read: the floor admits a sweep
-    // only every ~floor inserts, and each sweep retires most of what
-    // accumulated since the last one.
-    if (_pendingReads.size() < prunePendingFloor)
+    // and must match the reference sweep exactly.) Each sweep visits
+    // every pair, and above the floor a read may sweep on every miss,
+    // so the cost is not amortized O(1). Walkers lagging the others
+    // in local time would sweep and retire nothing; the earliest
+    // pending completion proves those sweeps empty in one compare.
+    if (_pendingReads.size() < prunePendingFloor || now <= _pendingMin)
         return;
     std::size_t keep = 0;
+    Tick min = maxTick;
     for (std::size_t i = 0; i < _pendingPairs.size(); ++i) {
         auto [done, addr] = _pendingPairs[i];
         if (done < now) {
@@ -91,9 +94,11 @@ MemController::prunePending(Tick now)
             _pendingReads.eraseIfValue(addr, done);
         } else {
             _pendingPairs[keep++] = _pendingPairs[i];
+            min = std::min(min, done);
         }
     }
     _pendingPairs.resize(keep);
+    _pendingMin = min;
 }
 
 void
@@ -192,6 +197,7 @@ MemController::readLine(Addr line_addr, Tick now, Requester req,
     }
     _pendingReads.insertOrAssign(line_addr, done);
     _pendingPairs.emplace_back(done, line_addr);
+    _pendingMin = std::min(_pendingMin, done);
     return {done, ecc, false};
 }
 

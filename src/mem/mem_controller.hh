@@ -157,6 +157,9 @@ class MemController : public SimObject
      */
     std::vector<std::pair<Tick, Addr>> _pendingPairs;
 
+    /** Earliest completion in _pendingPairs (maxTick when empty). */
+    Tick _pendingMin = maxTick;
+
     /** Map size below which expired entries are left in place. */
     static constexpr std::size_t prunePendingFloor = 4096;
 

@@ -522,6 +522,12 @@ findFreeWay(const std::uint64_t *tags, std::uint32_t ways)
     return state().findFreeWay(tags, ways);
 }
 
+TagKernels
+tagKernels()
+{
+    return {state().findTagWay, state().findFreeWay};
+}
+
 std::uint32_t
 argminU64(const std::uint64_t *vals, std::uint32_t n)
 {

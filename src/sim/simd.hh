@@ -114,6 +114,21 @@ std::uint32_t findTagWay(const std::uint64_t *tags, std::uint32_t ways,
 std::uint32_t findFreeWay(const std::uint64_t *tags, std::uint32_t ways);
 
 /**
+ * The active tier's tag-set kernels, for a caller that resolves the
+ * dispatch once (a Cache, at construction) rather than per call. Every
+ * tier returns the same way, so a later setLevel() cannot change what
+ * such a caller computes.
+ */
+struct TagKernels
+{
+    std::uint32_t (*findTagWay)(const std::uint64_t *, std::uint32_t,
+                                std::uint64_t);
+    std::uint32_t (*findFreeWay)(const std::uint64_t *, std::uint32_t);
+};
+
+TagKernels tagKernels();
+
+/**
  * Index of the minimum of @p vals[0, n). Used for LRU victim
  * selection over a set's use timestamps, which are unique within a
  * cache (a strictly increasing clock), so all tiers agree without a

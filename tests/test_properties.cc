@@ -130,6 +130,32 @@ TEST_P(CacheSweep, HitsPlusMissesEqualsAccesses)
               static_cast<std::uint64_t>(accesses));
 }
 
+TEST_P(CacheSweep, FillOfAbsentLineMatchesInsert)
+{
+    // fill() skips insert()'s resident-copy scan; for a line proven
+    // absent the two must pick the same victim every time.
+    Cache by_insert(config());
+    Cache by_fill(config());
+    Rng rng(13);
+    for (int i = 0; i < 3000; ++i) {
+        Addr line = rng.nextBounded(1024) * lineSize;
+        MesiState state =
+            rng.chance(0.3) ? MesiState::Modified : MesiState::Exclusive;
+        if (by_insert.access(line) != MesiState::Invalid) {
+            ASSERT_NE(by_fill.access(line), MesiState::Invalid);
+            continue;
+        }
+        ASSERT_EQ(by_fill.access(line), MesiState::Invalid);
+        Victim a = by_insert.insert(line, state);
+        Victim b = by_fill.fill(line, state);
+        ASSERT_EQ(a.valid, b.valid);
+        ASSERT_EQ(a.addr, b.addr);
+        ASSERT_EQ(a.dirty, b.dirty);
+    }
+    EXPECT_EQ(by_insert.residentLines(), by_fill.residentLines());
+    EXPECT_EQ(by_insert.evictions(), by_fill.evictions());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, CacheSweep,
     ::testing::Values(CacheShape{1024, 1},      // direct-mapped
@@ -137,6 +163,84 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheShape{8 * 1024, 8},  // one set, fully assoc.
                       CacheShape{64 * 1024, 16},
                       CacheShape{20 * 64 * 50, 20})); // non-pow2 sets
+
+// ---------------------------------------------------------------------
+// Hierarchy holder mask: after any sequence of demand reads and
+// writes, memory-controller snoops and invalidations, each line's bits
+// name exactly the caches that hold it — or, past LineHolders::l2Bits
+// cores, a superset in the bits two cores share.
+// ---------------------------------------------------------------------
+
+class HolderMaskSweep : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(HolderMaskSweep, MaskMatchesProbedCaches)
+{
+    const unsigned cores = GetParam();
+    constexpr std::uint64_t lines = 256; // 4x the L2, 2x the L3
+    EventQueue eq;
+    PhysicalMemory mem(lines / linesPerPage);
+    MemController mc("mc0", eq, mem, DramConfig{});
+    Hierarchy hier("chip", eq, cores, CacheConfig{"l1", 1024, 2, 2, 4},
+                   CacheConfig{"l2", 4096, 4, 6, 8},
+                   CacheConfig{"l3", 8192, 8, 20, 16}, BusConfig{}, mc);
+
+    LineHolders::Mask shared = 0;
+    for (unsigned c = 0; c < cores; ++c) {
+        if (c % LineHolders::l2Bits + LineHolders::l2Bits < cores)
+            shared |= LineHolders::l2Bit(c);
+    }
+    auto probed = [&](Addr line) {
+        LineHolders::Mask m =
+            hier.l3().contains(line) ? LineHolders::l3Bit : 0;
+        for (unsigned c = 0; c < cores; ++c) {
+            if (hier.l2(c).contains(line))
+                m |= LineHolders::l2Bit(c);
+        }
+        return m;
+    };
+
+    Rng rng(cores);
+    Tick now = 0;
+    for (int op = 0; op < 3000; ++op) {
+        CoreId core = static_cast<CoreId>(rng.nextBounded(cores));
+        Addr line = rng.nextBounded(lines) * lineSize;
+        switch (rng.nextBounded(5)) {
+          case 0:
+          case 1:
+            hier.access(core, line, false, now, Requester::App);
+            break;
+          case 2:
+            hier.access(core, line, true, now, Requester::App);
+            break;
+          case 3:
+            hier.snoopForMc(line, now);
+            break;
+          default:
+            // Back-invalidation keeps L1 inside L2.
+            hier.l1(core).invalidate(line);
+            hier.l2(core).invalidate(line);
+            if (rng.chance(0.3))
+                hier.l3().invalidate(line);
+            break;
+        }
+        now += 40;
+        for (std::uint64_t l = 0; l < lines; ++l) {
+            Addr a = l * lineSize;
+            LineHolders::Mask want = probed(a);
+            LineHolders::Mask have = hier.holders(a);
+            ASSERT_EQ(have & ~shared, want & ~shared)
+                << "op " << op << " line " << l;
+            ASSERT_EQ(have & want, want) << "op " << op << " line " << l;
+            ASSERT_EQ(hier.anyCacheHolds(a), want != 0)
+                << "op " << op << " line " << l;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cores, HolderMaskSweep,
+                         ::testing::Values(2u, 10u, 20u));
 
 // ---------------------------------------------------------------------
 // DRAM address mapping: distinct lines map consistently; consecutive
