@@ -41,7 +41,7 @@ struct SiteSlot
 /**
  * One buffer per thread, single-writer. Registered under g_mutex on
  * first use and kept alive for the process lifetime so snapshot() can
- * read buffers of threads that have since exited (lane-pool workers
+ * read buffers of threads that have since exited (campaign workers
  * are joined before any snapshot, so the reads are race-free).
  */
 struct ThreadBuf

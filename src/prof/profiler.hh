@@ -21,9 +21,8 @@
  *
  * Thread-safety: recordNs() is safe from any thread. snapshot(),
  * reset() and the report writers must only run while no instrumented
- * region is executing (between experiment runs) — the same
- * single-writer-per-phase discipline the lane scheduler already
- * enforces.
+ * region is executing (between experiment runs, or after the
+ * campaign workers have joined).
  */
 
 #pragma once

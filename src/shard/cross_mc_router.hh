@@ -151,7 +151,7 @@ class CrossMcRouter
     /**
      * Delivered-minus-enqueued latency of handoffs accepted by
      * destination MC @p dst, in ticks. Deterministic (simulated time),
-     * so campaign identity checks may compare it across executors.
+     * so campaign identity checks compare it between profiled runs.
      */
     const Histogram &latencyTo(unsigned dst) const;
 

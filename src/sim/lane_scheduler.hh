@@ -1,6 +1,6 @@
 /**
  * @file
- * Conservative parallel event lanes (multi-MC machines).
+ * Conservative per-MC event lanes (multi-MC machines).
  *
  * A multi-controller machine splits its single event queue into one
  * *lane* per MC shard plus lane 0 for everything else (cores, the
@@ -14,37 +14,31 @@
  *   drain    cross-lane messages posted during phase 1 are moved
  *            from their mailboxes onto the destination lanes in
  *            deterministic (lane, sequence) order.
- *   phase 2  the shard lanes run to the same boundary, each touching
- *            only state its MC owns (its module, Scan Table, and
- *            controller timing) plus read-only frame bytes that
- *            phase 1 has already frozen for this quantum.
+ *   phase 2  the shard lanes run to the same boundary, in lane
+ *            order, each touching only state its MC owns (its
+ *            module, Scan Table, and controller timing) plus
+ *            read-only frame bytes that phase 1 has already frozen
+ *            for this quantum.
  *
  * Phase ordering is the lookahead contract: lane 0 → shard sends are
  * delivered *within* the posting quantum (a shard lane has not run
  * yet, so any tick ≥ the quantum start is in its future), while
  * shard → lane 0 information only flows through state that lane 0
  * polls in the *next* quantum, bounding it by one quantum — which is
- * why the quantum defaults to the PageForge driver's polling period
- * and why the CrossMcRouter's 160-tick hop never needs to cross lanes
- * directly.
+ * why the quantum is the PageForge driver's polling period and why
+ * the CrossMcRouter's 160-tick hop never needs to cross lanes
+ * directly. This schedule is what defines a multi-MC machine's
+ * results.
  *
- * The same superstep runs on one thread (`threads <= 1`, the serial
- * executor) or on a pool with one worker per shard lane. Both
- * executors dispatch the identical event sequence, so a threaded run
- * is bit-identical to the serial run by construction; the threaded
- * one merely overlaps the phase-2 wall-clock across lanes.
+ * Everything runs on the calling thread.
  */
 
 #ifndef PF_SIM_LANE_SCHEDULER_HH
 #define PF_SIM_LANE_SCHEDULER_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -62,27 +56,26 @@ struct LaneExecStats
 };
 
 /**
- * Host wall-clock telemetry for the superstep executor, collected
- * only while prof::enabled() (the accounting is free otherwise). Per
- * lane and per quantum, busy + idle + stall sums to the quantum's
- * wall time, so the three series partition the run exactly.
+ * Host wall-clock telemetry for the superstep, collected only while
+ * prof::enabled() (the accounting is free otherwise). Per lane and
+ * per quantum, busy + idle + stall sums to the quantum's wall time,
+ * so the three series partition the run exactly.
  */
 struct ExecTelemetry
 {
     std::uint64_t quanta = 0;
     std::uint64_t phase1Ns = 0; //!< lane 0 running alone
     std::uint64_t drainNs = 0;  //!< mailbox drain at the barrier
-    std::uint64_t phase2Ns = 0; //!< shard lanes (parallel region)
+    std::uint64_t phase2Ns = 0; //!< shard lanes
     std::uint64_t mailboxHwm = 0; //!< deepest single mailbox at a drain
     /** Index 0 = lane 0, then one entry per shard lane. */
     std::vector<LaneExecStats> lanes;
-    /** Slot 0 = the scheduling thread, then one slot per worker. */
-    std::vector<std::uint64_t> workerBusyNs;
 
     /**
-     * Sum of shard-lane busy time over the perfect-overlap bound
-     * (phase-2 wall time x shard lanes): 1.0 means every lane worked
-     * the whole parallel region, 1/N means effectively serial.
+     * Sum of shard-lane busy time over phase-2 wall time x shard
+     * lanes. The lanes run one after another, so this is at most
+     * 1/N; it says how much of phase 2 is dispatch rather than
+     * barrier bookkeeping.
      */
     double phase2Efficiency() const;
 };
@@ -95,13 +88,8 @@ class LaneScheduler
      * @param lane0       the machine's primary queue (not owned)
      * @param shard_lanes number of extra lanes, one per MC shard
      * @param quantum     barrier period in ticks
-     * @param threads     phase-2 worker threads; <= 1 selects the
-     *                    serial executor (identical schedule, one
-     *                    thread). Clamped to @p shard_lanes.
      */
-    LaneScheduler(EventQueue &lane0, unsigned shard_lanes, Tick quantum,
-                  unsigned threads);
-    ~LaneScheduler();
+    LaneScheduler(EventQueue &lane0, unsigned shard_lanes, Tick quantum);
 
     LaneScheduler(const LaneScheduler &) = delete;
     LaneScheduler &operator=(const LaneScheduler &) = delete;
@@ -117,43 +105,23 @@ class LaneScheduler
 
     Tick quantum() const { return _quantum; }
 
-    /** Phase-2 worker threads actually used (0 = serial executor). */
-    unsigned threads() const { return _threads; }
-
     /**
      * Post a callback to another lane's queue. Must be called from
      * lane 0 during phase 1 (the driver side); the per-destination
-     * mailboxes are single-producer and drained at the quantum
-     * boundary in (lane, sequence) order, so delivery is
-     * deterministic regardless of executor. @p when must not precede
-     * the destination lane's clock — a cross-lane event in the past
-     * panics at drain time, mirroring EventQueue::schedule.
+     * mailboxes are drained at the quantum boundary in (lane,
+     * sequence) order, so delivery is deterministic. @p when must not
+     * precede the destination lane's clock — a cross-lane event in
+     * the past panics at drain time, mirroring EventQueue::schedule.
      */
     void post(unsigned dst_lane, Tick when, EventQueue::Callback cb);
 
     /**
-     * Invoked on the scheduling thread after every quantum (and once
-     * more when runUntil returns). The trace layer uses this to merge
-     * per-lane buffers in timestamp order.
+     * Invoked after every quantum. The trace layer uses this to
+     * merge per-lane buffers in timestamp order.
      */
     void setQuantumHook(std::function<void()> hook)
     {
         _quantumHook = std::move(hook);
-    }
-
-    /**
-     * Host-time span per lane per quantum, invoked on the scheduling
-     * thread after the phase-2 barrier (so reads of worker-written
-     * spans are ordered). Timestamps are nanoseconds since the first
-     * profiled quantum; the trace layer maps them onto the pid-2 lane
-     * tracks. Only fires while prof::enabled().
-     */
-    using HostSpanHook = std::function<void(
-        unsigned lane, std::uint64_t start_ns, std::uint64_t end_ns)>;
-
-    void setHostSpanHook(HostSpanHook hook)
-    {
-        _hostSpanHook = std::move(hook);
     }
 
     /** Accumulated host-time telemetry (empty unless profiling ran). */
@@ -177,7 +145,9 @@ class LaneScheduler
     /**
      * Lane whose events the calling thread is currently dispatching
      * (0 outside phase 2 — construction, warm-up, and all of lane 0).
-     * The per-lane trace buffers key on this.
+     * The per-lane trace buffers key on this. It is thread-local
+     * because a campaign runs one System per worker thread, each
+     * with its own scheduler.
      */
     static unsigned currentLaneId();
 
@@ -190,16 +160,13 @@ class LaneScheduler
     };
 
     void drainMailboxes();
-    void runShardLane(unsigned lane_id, Tick limit);
-    void runPhase2(Tick limit);
-    void workerLoop(unsigned slot);
+    void runPhase2(Tick limit, bool profiling);
     void recordQuantum(std::uint64_t t0, std::uint64_t t1,
                        std::uint64_t t2, std::uint64_t t3);
 
     EventQueue &_lane0;
     std::vector<std::unique_ptr<EventQueue>> _shardLanes;
     Tick _quantum;
-    unsigned _threads;
 
     // One mailbox per destination shard lane; appended only by lane 0
     // (phase 1), drained only at the barrier. seq is global so the
@@ -210,39 +177,15 @@ class LaneScheduler
 
     std::function<void()> _quantumHook;
 
-    // Phase-2 pool. A quantum is short (default: one driver polling
-    // period), so the handshake must cost less than the work: lanes
-    // are claimed lock-free off _nextLane, the scheduling thread
-    // claims lanes alongside the workers, and workers spin briefly on
-    // the generation counter before falling back to a condvar sleep
-    // (the mutex exists only for that sleep). The generation bump is
-    // a release store after _phaseLimit/_nextLane/_lanesDone are set,
-    // so a worker that acquires it sees the whole batch; _lanesDone's
-    // final increment is the release the scheduler acquires before
-    // touching any phase-2 result.
-    std::vector<std::thread> _workers;
-    std::mutex _poolMutex;
-    std::condition_variable _poolStart;
-    std::atomic<std::uint64_t> _generation{0};
-    std::atomic<unsigned> _nextLane{0};
-    std::atomic<unsigned> _lanesDone{0};
-    Tick _phaseLimit = 0;
-    std::atomic<bool> _shutdown{false};
-
-    // Host-time telemetry. _laneSpans is single-writer per quantum
-    // (whichever thread claimed the lane) and read by the scheduling
-    // thread only after the barrier, so the existing _lanesDone
-    // acquire/release chain orders it without extra synchronization.
+    // Host-time telemetry: each shard lane's phase-2 span in the
+    // current quantum, folded into _telemetry by recordQuantum.
     struct HostSpan
     {
         std::uint64_t startNs = 0;
         std::uint64_t endNs = 0;
     };
     std::vector<HostSpan> _laneSpans;
-    std::uint64_t _schedSelfNs = 0;
-    std::uint64_t _epochNs = 0;
     ExecTelemetry _telemetry;
-    HostSpanHook _hostSpanHook;
 };
 
 } // namespace pageforge

@@ -119,7 +119,6 @@ runCampaign(const CampaignSpec &spec)
         jobs, std::max<std::size_t>(matrix.size(), 1)));
     report.jobs = jobs;
     report.numMcs = spec.sysTemplate.numMcs;
-    report.lanes = spec.sysTemplate.lanes;
 
     auto start = std::chrono::steady_clock::now();
 
@@ -486,13 +485,12 @@ writePerfReport(const CampaignReport &report, std::ostream &os,
         peak_rss = std::max(peak_rss, outcome.peakRssKb);
     }
 
-    // v2 added lanes/num_mcs so a gate can compare serial and parallel
-    // entries of the same matrix separately (v1 had neither, implying
-    // the classic 1-MC serial machine).
+    // v2 added num_mcs so a gate can compare the 1-MC and multi-MC
+    // entries of the same matrix separately (v1 lacks it, implying the
+    // classic 1-MC machine).
     os << "{\"schema\":\"pageforge-simspeed-v2\"";
     os << ",\"jobs\":" << report.jobs;
     os << ",\"num_mcs\":" << report.numMcs;
-    os << ",\"lanes\":" << report.lanes;
     os << ",\"wall_seconds\":";
     jsonDouble(os, report.wallSeconds);
     if (baseline_seconds > 0.0) {

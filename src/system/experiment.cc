@@ -340,7 +340,6 @@ measure(System &system, const ExperimentConfig &cfg)
             result.exec.mailboxHwm = tel.mailboxHwm;
             result.exec.phase2Efficiency = tel.phase2Efficiency();
             result.exec.lanes = tel.lanes;
-            result.exec.workerBusyNs = tel.workerBusyNs;
         }
     }
 

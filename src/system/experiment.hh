@@ -196,7 +196,7 @@ struct McSummary
 };
 
 /**
- * Host-time telemetry of the lane-scheduler executor, captured only
+ * Host-time telemetry of the lane-scheduler superstep, captured only
  * when profiling was enabled for the run.
  */
 struct ExecSummary
@@ -208,8 +208,7 @@ struct ExecSummary
     std::uint64_t phase2Ns = 0;
     std::uint64_t mailboxHwm = 0;
     double phase2Efficiency = 0.0;
-    std::vector<LaneExecStats> lanes;         //!< index 0 = lane 0
-    std::vector<std::uint64_t> workerBusyNs;  //!< slot 0 = scheduler
+    std::vector<LaneExecStats> lanes; //!< index 0 = lane 0
 };
 
 /** Everything a bench needs to print its table/figure rows. */
@@ -280,7 +279,7 @@ struct ExperimentResult
     unsigned numMcs = 1;
     std::vector<McSummary> perMc;
 
-    // Lane-executor host telemetry (profiling runs only).
+    // Lane-scheduler host telemetry (profiling runs only).
     ExecSummary exec;
 
     /** Sampled metric trajectory (empty unless metricsInterval set). */

@@ -199,7 +199,6 @@ describe(S &e, V &v)
     v.field("mailbox_hwm", "message", e.mailboxHwm, host);
     v.field("phase2_efficiency", "ratio", e.phase2Efficiency, host);
     v.list("lanes", "", e.lanes, host);
-    v.list("worker_busy_ns", "ns", e.workerBusyNs, host);
 }
 
 template <class V, SchemaOf<ExperimentResult> S>

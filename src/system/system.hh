@@ -135,7 +135,7 @@ class System : public VmHost
     CrossMcRouter *crossMcRouter() { return _router.get(); }
 
     /**
-     * Null unless the machine runs parallel event lanes (PageForge
+     * Null unless the machine runs per-MC event lanes (PageForge
      * mode with numMcs > 1; see sim/lane_scheduler.hh).
      */
     LaneScheduler *laneScheduler() { return _laneSched.get(); }

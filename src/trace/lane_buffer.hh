@@ -1,18 +1,16 @@
 /**
  * @file
- * Per-lane trace buffering for parallel event lanes.
+ * Per-lane trace buffering for per-MC event lanes.
  *
- * A TraceSink streams JSON as events fire and is single-threaded by
- * contract; a multi-lane machine fires probes from phase-2 worker
- * threads. LaneTraceMux sits between the probes and the real backend:
- * each lane appends its events to a private buffer (no locks — a lane
- * is driven by exactly one thread per quantum), and at every quantum
- * barrier the scheduler's hook flushes the buffers into the downstream
- * backend merged in (timestamp, lane, intra-lane order). Quanta advance
+ * A TraceSink streams JSON as events fire, so it expects them in
+ * timestamp order; a multi-lane machine runs a whole quantum of lane 0
+ * before any shard lane dispatches its events for the same quantum.
+ * LaneTraceMux sits between the probes and the real backend: each lane
+ * appends its events to a private buffer, and at every quantum barrier
+ * the scheduler's hook flushes the buffers into the downstream backend
+ * merged in (timestamp, lane, intra-lane order). Quanta advance
  * monotonically, so the downstream sink sees a globally
- * timestamp-ordered stream — and because the serial executor fills the
- * same buffers in the same order, the merged trace is identical
- * whatever the thread count.
+ * timestamp-ordered stream.
  */
 
 #ifndef PF_TRACE_LANE_BUFFER_HH
@@ -65,7 +63,7 @@ class LaneTraceMux : public TraceBackend
     /**
      * Replay all buffered events into the downstream backend, merged
      * by (timestamp, lane, append order), and clear the buffers. Call
-     * from the scheduling thread only (the quantum hook does).
+     * between quanta only (the quantum hook does).
      */
     void flush();
 

@@ -280,7 +280,6 @@ fullResult()
         mc.health = "healthy";
     r.exec.enabled = true;
     r.exec.lanes.resize(2);
-    r.exec.workerBusyNs = {5, 6};
     r.metrics.names = {"m"};
     r.metrics.ticks = {1};
     r.metrics.rows = {{0.5}};
@@ -461,7 +460,8 @@ TEST(CampaignPerfReportTest, PerfReportHasRatesAndSpeedup)
     EXPECT_NE(json.find("\"schema\":\"pageforge-simspeed-v2\""),
               std::string::npos);
     EXPECT_NE(json.find("\"num_mcs\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"lanes\":1"), std::string::npos);
+    // Gate entries are keyed by num_mcs alone; no lane-thread count.
+    EXPECT_EQ(json.find("\"lanes\""), std::string::npos);
     EXPECT_NE(json.find("\"baseline_wall_seconds\":4"),
               std::string::npos);
     EXPECT_NE(json.find("\"speedup\":2"), std::string::npos);

@@ -14,13 +14,14 @@ every selected cell must have run ok. EXPR is `LHS OP RHS`, OP one of
 path into the result:
   faults.oracle_violations   a field
   mcs[].health               every element (the list must not be empty)
-  tracks[pid=2].spans        every element whose pid is 2
+  tracks[pid=1].spans        every element whose pid is 1
   sum(mcs[].handoffs_in)     sum over elements; len(mcs) list length
   $.profile.sites            a path from the report root
 --modes=M,N keeps only cells of those modes (baseline, ksm, pageforge).
 
 --same-as=OTHER requires equal reports, key order included, once the
-host-side keys below (FieldClass::Host in src/system/result_schema.hh)
+host-side keys below (FieldClass::Host in src/system/result_schema.hh,
+plus the report's worker count `jobs`, which never changes a result)
 are masked. FieldClass::Profiled blocks are compared when both reports
 carry them. It prints the first divergent path.
 
@@ -35,7 +36,7 @@ import re
 import sys
 
 HOST_KEYS = frozenset({
-    "wall_seconds", "host_seconds", "host_ms", "events_per_sec",
+    "jobs", "wall_seconds", "host_seconds", "host_ms", "events_per_sec",
     "pages_scanned_per_sec", "peak_rss_kb", "baseline_wall_seconds",
     "speedup", "exec", "profile",
 })

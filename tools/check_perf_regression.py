@@ -4,11 +4,11 @@
 Usage: check_perf_regression.py CURRENT.json BASELINE.json [--tolerance=0.10]
 
 Either file holds one report object or a list of them. Reports are
-matched by machine configuration — the (num_mcs, lanes) pair, so the
-serial classic machine gates against the serial baseline and the
-multi-controller lane runtime against the parallel baseline. Schema
-v2 records both fields; legacy v1 reports (which predate the knobs)
-are accepted and read as the (1, 1) machine.
+matched by machine configuration — the memory-controller count
+(num_mcs), so the classic 1-MC machine gates against the 1-MC
+baseline and the multi-controller machine against its own. Schema v2
+records the field; legacy v1 reports (which predate the knob) are
+accepted and read as the 1-MC machine.
 
 A matched pair fails (exit 1) when the fresh report's aggregate
 events/sec fall more than the tolerance below the baseline's. The
@@ -47,12 +47,11 @@ def load_reports(path):
 
 
 def config_key(report):
-    return (report.get("num_mcs", 1), report.get("lanes", 1))
+    return report.get("num_mcs", 1)
 
 
 def check_pair(current, baseline, tolerance):
-    num_mcs, lanes = config_key(current)
-    label = f"[num_mcs={num_mcs} lanes={lanes}]"
+    label = f"[num_mcs={config_key(current)}]"
 
     if current.get("failures", 0):
         print(f"FAIL {label}: {current['failures']} cell(s) failed in "
@@ -104,9 +103,8 @@ def main(argv):
     for current in currents:
         baseline = baselines.get(config_key(current))
         if baseline is None:
-            num_mcs, lanes = config_key(current)
             print(f"check_perf_regression: no baseline entry for "
-                  f"num_mcs={num_mcs} lanes={lanes} in {paths[1]}",
+                  f"num_mcs={config_key(current)} in {paths[1]}",
                   file=sys.stderr)
             sys.exit(2)
         ok &= check_pair(current, baseline, tolerance)

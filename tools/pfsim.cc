@@ -100,10 +100,6 @@ usage(const char *prog)
            "(default 1);\n"
         << "                      frames interleave frame %% N, one\n"
         << "                      PageForge module per controller\n"
-        << "  --lanes=N           threads for the per-MC event lanes\n"
-        << "                      (default 1 = serial; PF_LANES env\n"
-        << "                      also sets it). Needs --num-mcs > 1;\n"
-        << "                      results are identical at any N\n"
         << "  --vms=N             fleet size: N VMs on N cores\n"
         << "                      (default: the paper's 10)\n"
         << "  --placement=P       ksmd placement: sticky|rr|random|pinned\n"
@@ -215,12 +211,6 @@ parse(int argc, char **argv)
     SystemConfig &sys = opts.spec.sysTemplate;
     exp.memScale = 0.2;
     exp.targetQueries = 1500;
-    // PF_LANES mirrors --lanes (like PF_FORCE_SCALAR for --force-scalar)
-    // so CI matrices can vary the thread count without editing argv; an
-    // explicit --lanes= wins.
-    if (const char *env = std::getenv("PF_LANES"))
-        sys.lanes =
-            parseNumber<unsigned>(std::string("PF_LANES=") + env, true);
     bool fault_seed_set = false;
     std::uint64_t fault_seed = 0;
     for (int i = 1; i < argc; ++i) {
@@ -247,8 +237,6 @@ parse(int argc, char **argv)
             exp.seed = parseNumber<std::uint64_t>(arg);
         } else if (value("--num-mcs=")) {
             sys.numMcs = parseNumber<unsigned>(arg, true);
-        } else if (value("--lanes=")) {
-            sys.lanes = parseNumber<unsigned>(arg, true);
         } else if (value("--vms=")) {
             sys.numVms = sys.numCores = parseNumber<unsigned>(arg, true);
         } else if (const char *v = value("--placement=")) {
@@ -494,8 +482,7 @@ runSingleMode(const Options &opts, std::uint32_t component_mask)
     // --json: the result as a one-cell campaign report.
     CellOutcome cell{{opts.app, opts.mode, cfg.seed}, true, "", result,
                      "", 0, hostPeakRssKb()};
-    CampaignReport report{{cell}, result.hostSeconds, 1, machine.numMcs,
-                          machine.lanes};
+    CampaignReport report{{cell}, result.hostSeconds, 1, machine.numMcs};
     if (!opts.jsonPath.empty() &&
         writeFile(opts.jsonPath, [&](std::ostream &os) {
             writeCampaignJson(report, os);
