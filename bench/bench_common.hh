@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/parse_number.hh"
 #include "stats/table.hh"
 #include "system/campaign.hh"
 #include "system/experiment.hh"
@@ -82,22 +83,16 @@ parseBenchOptions(int argc, char **argv)
             opts.memScale = 0.08;
             opts.targetQueries = 600;
         } else if (arg.rfind("--scale=", 0) == 0) {
-            opts.memScale = std::atof(arg.c_str() + 8);
+            opts.memScale = parseNumber<double>(argv[0], arg, true);
         } else if (arg.rfind("--queries=", 0) == 0) {
-            opts.targetQueries = std::strtoull(arg.c_str() + 10,
-                                               nullptr, 10);
+            opts.targetQueries =
+                parseNumber<std::uint64_t>(argv[0], arg, true);
         } else if (arg.rfind("--seed=", 0) == 0) {
-            opts.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+            opts.seed = parseNumber<std::uint64_t>(argv[0], arg);
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            opts.jobs = static_cast<unsigned>(
-                std::atoi(arg.c_str() + 7));
+            opts.jobs = parseNumber<unsigned>(argv[0], arg);
         } else if (arg.rfind("--num-mcs=", 0) == 0) {
-            opts.numMcs = static_cast<unsigned>(
-                std::atoi(arg.c_str() + 10));
-            if (opts.numMcs == 0) {
-                std::fprintf(stderr, "--num-mcs needs N >= 1\n");
-                std::exit(1);
-            }
+            opts.numMcs = parseNumber<unsigned>(argv[0], arg, true);
         } else if (arg == "--help" || arg == "-h") {
             std::fprintf(stderr,
                          "usage: %s [--quick] [--scale=X] "

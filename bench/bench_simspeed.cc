@@ -57,24 +57,18 @@ parseSpeedOptions(int argc, char **argv)
             opts.memScale = 0.03;
             opts.targetQueries = 100;
         } else if (arg.rfind("--scale=", 0) == 0) {
-            opts.memScale = std::atof(arg.c_str() + 8);
+            opts.memScale = parseNumber<double>(argv[0], arg, true);
         } else if (arg.rfind("--queries=", 0) == 0) {
             opts.targetQueries =
-                std::strtoull(arg.c_str() + 10, nullptr, 10);
+                parseNumber<std::uint64_t>(argv[0], arg, true);
         } else if (arg.rfind("--seed=", 0) == 0) {
-            opts.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+            opts.seed = parseNumber<std::uint64_t>(argv[0], arg);
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            opts.jobs =
-                static_cast<unsigned>(std::atoi(arg.c_str() + 7));
+            opts.jobs = parseNumber<unsigned>(argv[0], arg);
         } else if (arg.rfind("--num-mcs=", 0) == 0) {
-            opts.numMcs =
-                static_cast<unsigned>(std::atoi(arg.c_str() + 10));
-            if (opts.numMcs == 0) {
-                std::fprintf(stderr, "--num-mcs needs N >= 1\n");
-                std::exit(1);
-            }
+            opts.numMcs = parseNumber<unsigned>(argv[0], arg, true);
         } else if (arg.rfind("--baseline-seconds=", 0) == 0) {
-            opts.baselineSeconds = std::atof(arg.c_str() + 19);
+            opts.baselineSeconds = parseNumber<double>(argv[0], arg);
         } else if (arg.rfind("--out=", 0) == 0) {
             opts.outPath = arg.c_str() + 6;
         } else if (arg == "--help" || arg == "-h") {

@@ -15,6 +15,7 @@
 #include <iostream>
 #include <string>
 
+#include "sim/parse_number.hh"
 #include "stats/table.hh"
 #include "system/experiment.hh"
 
@@ -28,7 +29,7 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--scale=", 0) == 0)
-            scale = std::atof(arg.c_str() + 8);
+            scale = parseNumber<double>("tail_latency_study", arg, true);
         else
             app_name = arg;
     }

@@ -1,6 +1,5 @@
 #include "mem/mem_controller.hh"
 
-#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -64,8 +63,8 @@ void
 MemController::resetTiming()
 {
     _pendingReads.clear();
-    _pendingPairs.clear();
-    _pendingMin = maxTick;
+    _pendingExpiry.clear();
+    _stalePairs = 0;
     _dram.resetTiming();
 }
 
@@ -77,28 +76,28 @@ MemController::prunePending(Tick now)
     // unchanged. (Request times are not monotonic across walkers, so
     // an entry expired for this caller may still coalesce for a later
     // caller with an earlier local time: the erase set is observable
-    // and must match the reference sweep exactly.) Each sweep visits
-    // every pair, and above the floor a read may sweep on every miss,
-    // so the cost is not amortized O(1). Walkers lagging the others
-    // in local time would sweep and retire nothing; the earliest
-    // pending completion proves those sweeps empty in one compare.
-    if (_pendingReads.size() < prunePendingFloor || now <= _pendingMin)
+    // and must match the reference sweep exactly.) The expiry index
+    // visits only the buckets from the earliest pending completion up
+    // to `now`'s, the last partly expired. Walkers lagging the others
+    // in local time would retire nothing; its lower bound on pending
+    // completions proves those prunes empty in one compare.
+    if (_pendingReads.size() < prunePendingFloor)
         return;
-    std::size_t keep = 0;
-    Tick min = maxTick;
-    for (std::size_t i = 0; i < _pendingPairs.size(); ++i) {
-        auto [done, addr] = _pendingPairs[i];
-        if (done < now) {
-            // Stale pairs — the line was re-requested and the map
-            // slot overwritten — fail the value check and are skipped.
-            _pendingReads.eraseIfValue(addr, done);
-        } else {
-            _pendingPairs[keep++] = _pendingPairs[i];
-            min = std::min(min, done);
-        }
-    }
-    _pendingPairs.resize(keep);
-    _pendingMin = min;
+    _pendingExpiry.prune(now, [this](Tick done, Addr addr) {
+        // Stale pairs — the line was re-requested and the map slot
+        // overwritten — fail the value check and are dropped.
+        if (!_pendingReads.eraseIfValue(addr, done))
+            --_stalePairs;
+    });
+}
+
+void
+MemController::auditPendingReads() const
+{
+    _pendingExpiry.audit();
+    pf_assert(_pendingExpiry.size() == _pendingReads.size() + _stalePairs,
+              "expiry index holds %zu pairs for %zu entries + %zu stale",
+              _pendingExpiry.size(), _pendingReads.size(), _stalePairs);
 }
 
 void
@@ -195,9 +194,9 @@ MemController::readLine(Addr line_addr, Tick now, Requester req,
         done = now + static_cast<Tick>(
                          static_cast<double>(done - now) * _latencyScale);
     }
-    _pendingReads.insertOrAssign(line_addr, done);
-    _pendingPairs.emplace_back(done, line_addr);
-    _pendingMin = std::min(_pendingMin, done);
+    if (!_pendingReads.insertOrAssign(line_addr, done))
+        ++_stalePairs;
+    _pendingExpiry.insert(done, line_addr);
     return {done, ecc, false};
 }
 

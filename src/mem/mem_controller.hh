@@ -14,11 +14,11 @@
 #define PF_MEM_MEM_CONTROLLER_HH
 
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "ecc/line_ecc.hh"
 #include "mem/dram_model.hh"
+#include "mem/pending_expiry.hh"
 #include "mem/pending_reads.hh"
 #include "mem/phys_memory.hh"
 #include "mem/request.hh"
@@ -138,6 +138,13 @@ class MemController : public SimObject
 
     StatGroup &stats() { return _stats; }
 
+    /**
+     * Panic unless the pending-read expiry index is consistent (see
+     * PendingExpiryIndex::audit) and stores exactly one pair per live
+     * coalescing entry plus the stale pairs. Walks every stored pair.
+     */
+    void auditPendingReads() const;
+
   private:
     PhysicalMemory &_mem;
     DramModel _dram;
@@ -146,19 +153,20 @@ class MemController : public SimObject
     PendingReadMap _pendingReads;
 
     /**
-     * Unsorted mirror of _pendingReads inserts: lets prunePending()
-     * sweep exactly the entries whose completion precedes the sweep
-     * time with one linear pass over a flat array, instead of walking
-     * the whole map per read. Pairs go stale when a line is
-     * re-requested (the map slot is overwritten); a stale pair fails
-     * the live-value check at erase time and is skipped. The array is
-     * bounded by the prune floor plus the stale pairs accumulated
-     * since the last sweep.
+     * One (completion, line) pair per _pendingReads insert, bucketed by
+     * completion time, so prunePending() erases exactly the entries
+     * whose completion precedes the prune time while visiting only
+     * the buckets from the earliest pending completion up to the
+     * prune time's, the last of them partly expired. A pair goes stale
+     * when its line is re-requested (the map slot is overwritten); it
+     * stays stored until it expires, then fails the live-value check
+     * at erase time. The index holds the live entries plus the stale
+     * pairs not yet expired.
      */
-    std::vector<std::pair<Tick, Addr>> _pendingPairs;
+    PendingExpiryIndex _pendingExpiry;
 
-    /** Earliest completion in _pendingPairs (maxTick when empty). */
-    Tick _pendingMin = maxTick;
+    /** Stored pairs whose map slot was overwritten or erased since. */
+    std::size_t _stalePairs = 0;
 
     /** Map size below which expired entries are left in place. */
     static constexpr std::size_t prunePendingFloor = 4096;

@@ -56,8 +56,11 @@ class PendingReadMap
         }
     }
 
-    /** Insert @p addr or overwrite its existing completion tick. */
-    void
+    /**
+     * Insert @p addr or overwrite its existing completion tick; true
+     * when the key was new.
+     */
+    bool
     insertOrAssign(Addr addr, Tick done)
     {
         // Line addresses are 64 B aligned, so the all-ones empty marker
@@ -69,12 +72,12 @@ class PendingReadMap
             Slot &s = _slots[i];
             if (s.addr == addr) {
                 s.done = done;
-                return;
+                return false;
             }
             if (s.addr == emptyKey) {
                 s = {addr, done};
                 ++_size;
-                return;
+                return true;
             }
             i = (i + 1) & _mask;
         }
@@ -83,9 +86,9 @@ class PendingReadMap
     /**
      * Erase @p addr only when its stored tick equals @p done — the
      * prune path's stale-pair guard (the line may have been
-     * re-requested since the heap pair was pushed).
+     * re-requested since the pair was recorded). True when erased.
      */
-    void
+    bool
     eraseIfValue(Addr addr, Tick done)
     {
         std::size_t i = home(addr);
@@ -94,11 +97,11 @@ class PendingReadMap
             if (s.addr == addr)
                 break;
             if (s.addr == emptyKey)
-                return;
+                return false;
             i = (i + 1) & _mask;
         }
         if (_slots[i].done != done)
-            return;
+            return false;
 
         // Backward-shift deletion keeps probe chains gap-free without
         // tombstones: walk forward from the gap and pull back every
@@ -111,7 +114,7 @@ class PendingReadMap
         while (true) {
             j = (j + 1) & _mask;
             if (_slots[j].addr == emptyKey)
-                return;
+                return true;
             std::size_t h = home(_slots[j].addr);
             if (((j - h) & _mask) >= ((j - gap) & _mask)) {
                 _slots[gap] = _slots[j];

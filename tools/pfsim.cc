@@ -22,8 +22,6 @@
  * tools/check_campaign.py asserts on it.
  */
 
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -31,11 +29,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "prof/profiler.hh"
 #include "sim/host.hh"
+#include "sim/parse_number.hh"
 #include "sim/simd.hh"
 #include "stats/table.hh"
 #include "system/campaign.hh"
@@ -173,36 +171,6 @@ parseMode(const std::string &name, DedupMode &mode)
     return true;
 }
 
-/**
- * Parse the value of a NAME=VALUE argument as a T, or exit 1 naming
- * the input. The whole value must parse: no sign, no trailing text,
- * finite, and nonzero when @p positive.
- */
-template <class T>
-T
-parseNumber(const std::string &arg, bool positive = false)
-{
-    std::size_t eq = arg.find('=');
-    std::string text = arg.substr(eq + 1);
-    T value{};
-    const char *end = text.data() + text.size();
-    auto [stop, err] = std::from_chars(text.data(), end, value);
-    bool ok = err == std::errc() && stop == end && text[0] != '-';
-    if constexpr (std::is_floating_point_v<T>)
-        ok = ok && std::isfinite(value);
-    if (positive && value == T(0))
-        ok = false;
-    if (!ok) {
-        std::cerr << "pfsim: bad " << arg.substr(0, eq) << " value '"
-                  << text << "': expected a "
-                  << (positive ? "positive " : "non-negative ")
-                  << (std::is_integral_v<T> ? "integer" : "number")
-                  << "\n";
-        std::exit(1);
-    }
-    return value;
-}
-
 Options
 parse(int argc, char **argv)
 {
@@ -226,19 +194,20 @@ parse(int argc, char **argv)
             if (!parseMode(v, opts.mode))
                 usage(argv[0]);
         } else if (value("--scale=")) {
-            exp.memScale = parseNumber<double>(arg, true);
+            exp.memScale = parseNumber<double>("pfsim", arg, true);
         } else if (value("--window-ms=")) {
-            opts.windowMs = parseNumber<double>(arg, true);
+            opts.windowMs = parseNumber<double>("pfsim", arg, true);
         } else if (value("--settle-ms=")) {
-            exp.settleTime = msToTicks(parseNumber<double>(arg));
+            exp.settleTime = msToTicks(parseNumber<double>("pfsim", arg));
         } else if (value("--warmup-passes=")) {
-            exp.warmupPasses = parseNumber<unsigned>(arg);
+            exp.warmupPasses = parseNumber<unsigned>("pfsim", arg);
         } else if (value("--seed=")) {
-            exp.seed = parseNumber<std::uint64_t>(arg);
+            exp.seed = parseNumber<std::uint64_t>("pfsim", arg);
         } else if (value("--num-mcs=")) {
-            sys.numMcs = parseNumber<unsigned>(arg, true);
+            sys.numMcs = parseNumber<unsigned>("pfsim", arg, true);
         } else if (value("--vms=")) {
-            sys.numVms = sys.numCores = parseNumber<unsigned>(arg, true);
+            sys.numVms = sys.numCores =
+                parseNumber<unsigned>("pfsim", arg, true);
         } else if (const char *v = value("--placement=")) {
             std::string p = v;
             if (p == "sticky")
@@ -255,7 +224,7 @@ parse(int argc, char **argv)
             if (!parseChurnKind(v, exp.churn.kind))
                 usage(argv[0]);
         } else if (value("--churn-rate=")) {
-            double rate = parseNumber<double>(arg);
+            double rate = parseNumber<double>("pfsim", arg);
             exp.churn.arrivalsPerSec = rate;
             exp.churn.departuresPerSec = rate;
         } else if (const char *v = value("--template-app=")) {
@@ -269,10 +238,11 @@ parse(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (value("--fault-seed=")) {
-            fault_seed = parseNumber<std::uint64_t>(arg);
+            fault_seed = parseNumber<std::uint64_t>("pfsim", arg);
             fault_seed_set = true;
         } else if (value("--audit-interval=")) {
-            exp.auditInterval = msToTicks(parseNumber<double>(arg, true));
+            exp.auditInterval =
+                msToTicks(parseNumber<double>("pfsim", arg, true));
         } else if (arg == "--dump-stats") {
             opts.dumpStats = true;
         } else if (arg == "--force-scalar") {
@@ -290,15 +260,15 @@ parse(int argc, char **argv)
         } else if (const char *v = value("--trace-filter=")) {
             opts.traceFilter = v;
         } else if (value("--metrics-interval=")) {
-            exp.metricsInterval = parseNumber<std::uint64_t>(arg);
+            exp.metricsInterval = parseNumber<std::uint64_t>("pfsim", arg);
         } else if (const char *v = value("--metrics-csv=")) {
             opts.metricsCsvPath = v;
         } else if (arg == "--campaign") {
             opts.campaign = true;
         } else if (value("--jobs=")) {
-            opts.spec.jobs = parseNumber<unsigned>(arg);
+            opts.spec.jobs = parseNumber<unsigned>("pfsim", arg);
         } else if (value("--seeds=")) {
-            opts.spec.numSeeds = parseNumber<unsigned>(arg, true);
+            opts.spec.numSeeds = parseNumber<unsigned>("pfsim", arg, true);
         } else if (const char *v = value("--json=")) {
             opts.jsonPath = v;
         } else if (const char *v = value("--apps=")) {
@@ -308,14 +278,14 @@ parse(int argc, char **argv)
                 if (!parseMode(m, opts.spec.modes.emplace_back()))
                     usage(argv[0]);
         } else if (value("--queries=")) {
-            exp.targetQueries = parseNumber<std::uint64_t>(arg, true);
+            exp.targetQueries = parseNumber<std::uint64_t>("pfsim", arg, true);
         } else if (arg == "--perf-report") {
             opts.perfReport = true;
         } else if (const char *v = value("--perf-report=")) {
             opts.perfReport = true;
             opts.perfReportPath = v;
         } else if (value("--baseline-seconds=")) {
-            opts.baselineSeconds = parseNumber<double>(arg);
+            opts.baselineSeconds = parseNumber<double>("pfsim", arg);
         } else {
             usage(argv[0]);
         }

@@ -33,6 +33,8 @@
 #include <string>
 #include <utility>
 
+#include "sim/parse_number.hh"
+
 namespace
 {
 
@@ -135,8 +137,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--min-tracks=", 0) == 0)
-            min_tracks = static_cast<unsigned>(
-                std::atoi(arg.c_str() + std::strlen("--min-tracks=")));
+            min_tracks =
+                pageforge::parseNumber<unsigned>("trace_summary", arg);
         else if (arg == "--json")
             json = true;
         else if (!arg.empty() && arg[0] == '-')
